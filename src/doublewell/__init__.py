@@ -9,83 +9,20 @@ independent perturbation-theory engine and a finite-difference eigensolver.
 Everything dimensionless depends only on eta = sqrt(hbar / (m w a^2)).
 """
 
-from .model import PotentialShape, WellParameters, eta, from_eta, potential, shape
-from .perturbation import (
-    AnharmonicExpansion,
-    PerturbedLevel,
-    epsilon_closed_form,
-    epsilon_series_coefficients,
-    perturbed_level,
-    rs_engine,
-    transition_amplitudes,
-    validity_boundary,
-)
-from .quadrature import QuadratureError, integrate
-from .semiclassics import (
-    SQRT_E_OVER_PI,
-    SplittingReport,
-    TurningPoints,
-    action_S,
-    delta_factor,
-    ln_splitting_asymptotic,
-    ln_splitting_instanton,
-    ln_splitting_wkb_exact,
-    period_T,
-    ratio_wkb_instanton,
-    splitting_asymptotic,
-    splitting_instanton,
-    splitting_report,
-    splitting_wkb_exact,
-    turning_points,
-)
-from .spectral import (
-    GridSpec,
-    ResolutionError,
-    SpectrumResult,
-    doublet_parities,
-    exact_splitting,
-    solve_spectrum,
-)
+from . import model, perturbation, quadrature, semiclassics, spectral
+from .model import *  # noqa: F403
+from .perturbation import *  # noqa: F403
+from .quadrature import *  # noqa: F403
+from .semiclassics import *  # noqa: F403
+from .spectral import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "WellParameters",
-    "PotentialShape",
-    "potential",
-    "eta",
-    "from_eta",
-    "shape",
-    "AnharmonicExpansion",
-    "PerturbedLevel",
-    "epsilon_closed_form",
-    "perturbed_level",
-    "rs_engine",
-    "transition_amplitudes",
-    "epsilon_series_coefficients",
-    "validity_boundary",
-    "QuadratureError",
-    "integrate",
-    "SQRT_E_OVER_PI",
-    "TurningPoints",
-    "SplittingReport",
-    "turning_points",
-    "action_S",
-    "period_T",
-    "delta_factor",
-    "ln_splitting_wkb_exact",
-    "ln_splitting_asymptotic",
-    "ln_splitting_instanton",
-    "splitting_wkb_exact",
-    "splitting_asymptotic",
-    "splitting_instanton",
-    "ratio_wkb_instanton",
-    "splitting_report",
-    "GridSpec",
-    "SpectrumResult",
-    "ResolutionError",
-    "solve_spectrum",
-    "exact_splitting",
-    "doublet_parities",
+    *model.__all__,
+    *perturbation.__all__,
+    *quadrature.__all__,
+    *semiclassics.__all__,
+    *spectral.__all__,
     "__version__",
 ]

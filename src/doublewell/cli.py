@@ -14,8 +14,7 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +32,15 @@ from .perturbation import (
 from .quadrature import QuadratureError
 from .spectral import ResolutionError
 
-__all__ = ["main", "run", "SweepSpec", "ReportRow", "CSV_HEADER", "REFERENCE_RATIOS"]
+__all__ = ["main", "run", "SweepSpec", "CSV_HEADER", "REFERENCE_RATIOS"]
 
 CSV_HEADER = (
     "eta,epsilon,alpha,gamma,S,omegaT,ln_dE_wkb,ln_dE_asym,"
     "ln_dE_instanton,delta,ratio_corrected,ratio_uncorrected"
 )
+_COLUMNS = CSV_HEADER.split(",")
+#: SplittingReport declares its fields in CSV column order
+_FIELDS = [f.name for f in fields(semiclassics.SplittingReport)]
 
 #: Reference values of the corrected ratio sqrt(e/pi)*delta(eta), printed to
 #: five decimal places; `table1` recomputes and verifies every row.
@@ -91,49 +93,14 @@ class SweepSpec:
         return np.geomspace(self.eta_min, self.eta_max, self.steps)
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    """One SplittingReport flattened to the CSV column order."""
-
-    eta: float
-    epsilon: float
-    alpha: float
-    gamma: float
-    S: float
-    omegaT: float
-    ln_dE_wkb: float
-    ln_dE_asym: float
-    ln_dE_instanton: float
-    delta: float
-    ratio_corrected: float
-    ratio_uncorrected: float
-
-    def __post_init__(self) -> None:
-        for name in self.__dataclass_fields__:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"column {name} is not finite")
-
-    @classmethod
-    def from_report(cls, r: semiclassics.SplittingReport) -> "ReportRow":
-        return cls(
-            eta=r.eta,
-            epsilon=r.epsilon,
-            alpha=r.alpha,
-            gamma=r.gamma,
-            S=r.action,
-            omegaT=r.omega_t,
-            ln_dE_wkb=r.ln_de_wkb,
-            ln_dE_asym=r.ln_de_asym,
-            ln_dE_instanton=r.ln_de_instanton,
-            delta=r.delta,
-            ratio_corrected=r.ratio_corrected,
-            ratio_uncorrected=r.ratio_uncorrected,
-        )
-
-    def csv_line(self) -> str:
-        # repr gives the shortest decimal that round-trips, so files are
-        # byte-stable and parsing loses nothing
-        return ",".join(repr(getattr(self, name)) for name in self.__dataclass_fields__)
+def _csv_line(report: semiclassics.SplittingReport) -> str:
+    values = [getattr(report, name) for name in _FIELDS]
+    for column, value in zip(_COLUMNS, values):
+        if not math.isfinite(value):
+            raise ValueError(f"column {column} is not finite")
+    # repr gives the shortest decimal that round-trips, so files are
+    # byte-stable and parsing loses nothing
+    return ",".join(map(repr, values))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--steps", type=int, default=None)
     sw.add_argument("--spacing", choices=("linear", "log"), default=None)
     sw.add_argument("--out", type=Path, required=True, help="output CSV path")
-    sw.add_argument("--jobs", type=int, default=None, help="concurrent grid-point evaluations")
+    sw.add_argument("--jobs", type=int, default=None, help="accepted for compatibility; evaluation is sequential")
     sw.add_argument("--tol", type=float, default=None, help="quadrature relative tolerance")
     sw.set_defaults(func=cmd_sweep)
 
@@ -231,20 +198,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     jobs = int(_effective(args, "jobs"))
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs!r}")
-    etas = [float(e) for e in sweep.grid()]
-
-    def one(et: float) -> ReportRow:
-        return ReportRow.from_report(semiclassics.splitting_report(from_eta(et), tol=tol))
-
-    if jobs == 1:
-        rows = [one(et) for et in etas]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, etas))
-    # rows come back in grid order, which is ascending eta by construction
-    lines = [CSV_HEADER] + [row.csv_line() for row in rows]
+    # grid order is ascending eta by construction
+    rows = [_csv_line(semiclassics.splitting_report(from_eta(float(et)), tol=tol)) for et in sweep.grid()]
     with open(args.out, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([CSV_HEADER] + rows) + "\n")
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

@@ -23,13 +23,30 @@ __all__ = [
 ]
 
 
+def positive_real(value, name: str) -> float:
+    """`value` as a finite, strictly positive float, else ValueError naming `name`.
+
+    The one validator for eta and the physical parameters: anything float()
+    accepts (numpy scalars included) except bool, which is a flag, not a number.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
+    if not math.isfinite(value) or value <= 0.0:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class WellParameters:
     """Physical inputs: mass, oscillation frequency about a minimum,
     half-separation of the minima, and hbar.
 
-    All fields must be finite and strictly positive.  Validation happens
-    once, here; downstream code assumes a valid instance.
+    All fields must be finite and strictly positive (see positive_real).
+    Validation happens once, here; downstream code assumes a valid instance.
     """
 
     mass: float = 1.0
@@ -39,14 +56,7 @@ class WellParameters:
 
     def __post_init__(self) -> None:
         for name in ("mass", "angular_frequency", "half_separation", "hbar"):
-            value = getattr(self, name)
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                raise ValueError(f"{name} must be a real number, got {value!r}") from None
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, positive_real(getattr(self, name), name))
 
     @property
     def barrier_height(self) -> float:
@@ -81,12 +91,7 @@ def from_eta(value: float) -> WellParameters:
 
     In natural units eta = 1/a, so only the half-separation is nontrivial.
     """
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"eta must be a real number, got {value!r}") from None
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(f"eta must be finite and positive, got {value!r}")
+    value = positive_real(value, "eta")
     return WellParameters(mass=1.0, angular_frequency=1.0, half_separation=1.0 / value, hbar=1.0)
 
 

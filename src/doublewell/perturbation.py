@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .model import WellParameters, eta as eta_of, from_eta
+from .model import WellParameters, eta as eta_of, from_eta, positive_real
 
 __all__ = [
     "AnharmonicExpansion",
@@ -98,9 +96,7 @@ class PerturbedLevel:
 def epsilon_closed_form(eta_value: float) -> float:
     """Fractional second-order shift of the well ground level,
     (eta^2/16)(25 - 189 eta^2), for the standard coefficient set."""
-    if not (isinstance(eta_value, (int, float)) and math.isfinite(eta_value) and eta_value > 0):
-        raise ValueError(f"eta must be finite and positive, got {eta_value!r}")
-    e2 = float(eta_value) ** 2
+    e2 = positive_real(eta_value, "eta") ** 2
     return (e2 / 16.0) * (25.0 - 189.0 * e2)
 
 
@@ -196,35 +192,13 @@ def epsilon_series_coefficients(mode: str = "standard") -> tuple[float, float]:
     return float(coeff[0]), float(coeff[1])
 
 
-def validity_boundary(epsilon_fn: Callable[[float], float] | None = None) -> float:
-    """Smallest eta at which the below-barrier picture stops being usable.
+def validity_boundary() -> float:
+    """Largest eta of the below-barrier picture, in closed form.
 
-    Looks for the smallest root of 2 eta sqrt(1 + eps(eta)) = 1 (inner
-    turning point collapsing to the origin) by bracketed root-finding.  With
-    the standard shift that expression stays below 1 wherever 1 + eps > 0,
-    so the binding limit is instead the eta at which 1 + eps(eta) itself
-    vanishes and the perturbed level loses meaning; whichever comes first
-    is returned.
+    The level loses meaning where 1 + eps(eta) vanishes.  With the standard
+    shift that is 189 x^2 - 25 x - 16 = 0 in x = eta^2, so
+    eta0 = sqrt((25 + sqrt(12721)) / 378) = 0.60375...  The other limit, the
+    inner turning point reaching the origin (2 eta sqrt(1 + eps) = 1), never
+    binds: that expression stays below 1 wherever 1 + eps > 0.
     """
-    eps = epsilon_fn if epsilon_fn is not None else epsilon_closed_form
-
-    def turning(et: float) -> float:
-        return 2.0 * et * math.sqrt(1.0 + eps(et)) - 1.0
-
-    def level_scale(et: float) -> float:
-        return 1.0 + eps(et)
-
-    # Scan with a fine grid, then polish with brentq.  The scan stops where
-    # 1 + eps goes nonpositive since turning() is undefined beyond it.
-    grid = np.linspace(1e-6, 2.0, 20001)
-    prev_et = grid[0]
-    prev_t = turning(prev_et)
-    for et in grid[1:]:
-        ls = level_scale(float(et))
-        if ls <= 0.0:
-            return float(brentq(level_scale, prev_et, float(et), xtol=1e-14, rtol=1e-15))
-        t = turning(float(et))
-        if prev_t < 0.0 <= t:
-            return float(brentq(turning, prev_et, float(et), xtol=1e-14, rtol=1e-15))
-        prev_et, prev_t = float(et), t
-    raise ValueError("no validity boundary found in (0, 2]")
+    return math.sqrt((25.0 + math.sqrt(12721.0)) / 378.0)

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .model import WellParameters, eta as eta_of
+from .model import WellParameters, eta as eta_of, positive_real
 from .perturbation import (
     PerturbedLevel,
     epsilon_closed_form,
@@ -50,6 +49,7 @@ __all__ = [
 SQRT_E_OVER_PI = math.sqrt(math.e / math.pi)
 
 _TOL_RANGE = (1e-13, 1e-6)
+_ETA_BOUNDARY = validity_boundary()
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,6 @@ class SplittingReport:
     ratio_uncorrected: float
 
 
-@lru_cache(maxsize=1)
-def _standard_boundary() -> float:
-    return validity_boundary()
-
-
 def _check_tol(tol: float) -> None:
     lo, hi = _TOL_RANGE
     if not (lo <= tol <= hi):
@@ -97,10 +92,11 @@ def _check_tol(tol: float) -> None:
 
 
 def _check_validity(eta_value: float) -> None:
-    if eta_value >= _standard_boundary():
+    """The one guard for every route that needs a below-barrier doublet."""
+    if eta_value >= _ETA_BOUNDARY:
         raise ValueError(
             f"eta={eta_value!r} is at or beyond the validity boundary "
-            f"{_standard_boundary():.6f}; no below-barrier doublet"
+            f"{_ETA_BOUNDARY:.6f}, where 1 + epsilon <= 0; no below-barrier doublet"
         )
 
 
@@ -189,11 +185,11 @@ def ln_delta_factor(eta_value: float) -> float:
     """ln of the anharmonicity correction factor delta(eta).
 
     delta = (1+eps)^{-1/2} exp[eps/2 - eps ln(eta sqrt(1+eps)/4)], written
-    with log1p so the small-eta limit delta -> 1 is reached smoothly.
+    with log1p so the small-eta limit delta -> 1 is reached smoothly.  Defined
+    below validity_boundary(), where 1 + eps > 0.
     """
     eps = epsilon_closed_form(eta_value)
-    if 1.0 + eps <= 0.0:
-        raise ValueError(f"1 + epsilon <= 0 at eta={eta_value!r}; correction factor undefined")
+    _check_validity(eta_value)
     half_ln1p = 0.5 * math.log1p(eps)
     return -half_ln1p + 0.5 * eps - eps * (math.log(eta_value / 4.0) + half_ln1p)
 
@@ -205,16 +201,25 @@ def delta_factor(eta_value: float) -> float:
 
 def ln_splitting_instanton(eta_value: float) -> float:
     """ln(dE_instanton / hbar w) = ln(4 / (sqrt(pi) eta)) - 2/(3 eta^2)."""
-    if not (isinstance(eta_value, (int, float)) and math.isfinite(eta_value) and eta_value > 0):
-        raise ValueError(f"eta must be finite and positive, got {eta_value!r}")
+    eta_value = positive_real(eta_value, "eta")
     return math.log(4.0 / (math.sqrt(math.pi) * eta_value)) - 2.0 / (3.0 * eta_value**2)
 
 
 def ln_splitting_asymptotic(eta_value: float) -> float:
     """ln(dE_asymptotic / hbar w): the instanton log plus ln(sqrt(e/pi)) plus
     ln(delta), so the three-way ratio identities hold to machine precision."""
-    _check_validity(eta_value)
     return ln_splitting_instanton(eta_value) + math.log(SQRT_E_OVER_PI) + ln_delta_factor(eta_value)
+
+
+def _quadrature_route(p: WellParameters, level: PerturbedLevel | None, tol: float):
+    """Guarded level, turning points, and the (value, estimate) pairs of the
+    action and the period: everything the quadrature route computes."""
+    _check_tol(tol)
+    _check_validity(eta_of(p))
+    if level is None:
+        level = perturbed_level(p)
+    tp = turning_points(p, level)
+    return level, tp, _action_with_estimate(p, tp, tol), _period_with_estimate(p, tp, tol)
 
 
 def ln_splitting_wkb_exact(
@@ -226,14 +231,7 @@ def ln_splitting_wkb_exact(
     combines the achieved period estimate with the action estimate amplified
     by S, since dE depends on S through e^{-S}.
     """
-    _check_tol(tol)
-    et = eta_of(p)
-    _check_validity(et)
-    if level is None:
-        level = perturbed_level(p)
-    tp = turning_points(p, level)
-    action, action_est = _action_with_estimate(p, tp, tol)
-    period, period_est = _period_with_estimate(p, tp, tol)
+    _, _, (action, action_est), (period, period_est) = _quadrature_route(p, level, tol)
     ln_value = math.log(2.0) - math.log(p.angular_frequency * period) - action
     return ln_value, period_est + action * action_est
 
@@ -261,22 +259,14 @@ def splitting_instanton(p: WellParameters) -> float:
 
 def ratio_wkb_instanton(eta_value: float) -> float:
     """Corrected-to-instanton splitting ratio sqrt(e/pi) * delta(eta)."""
-    _check_validity(eta_value)
     return SQRT_E_OVER_PI * delta_factor(eta_value)
 
 
 def splitting_report(p: WellParameters, tol: float = 1e-10) -> SplittingReport:
     """All three routes at the eta of p, as one row of scaled, log-domain
     numbers (see SplittingReport)."""
-    _check_tol(tol)
+    level, tp, (action, _), (period, _) = _quadrature_route(p, None, tol)
     et = eta_of(p)
-    _check_validity(et)
-    level = perturbed_level(p)
-    if not level.below_barrier:
-        raise ValueError("energy at or above barrier; no tunneling regime")
-    tp = turning_points(p, level)
-    action, _ = _action_with_estimate(p, tp, tol)
-    period, _ = _period_with_estimate(p, tp, tol)
     omega_t = p.angular_frequency * period
     delta = delta_factor(et)
     return SplittingReport(

@@ -18,8 +18,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .model import WellParameters, eta as eta_of, potential
-from .perturbation import perturbed_level, validity_boundary
-from .semiclassics import turning_points
+from .perturbation import perturbed_level
+from .semiclassics import _check_validity, turning_points
 
 __all__ = [
     "GridSpec",
@@ -145,6 +145,11 @@ def solve_spectrum(
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k!r}")
     _check_box(p, grid, potential_fn)
+    return _richardson(p, grid, k, potential_fn)
+
+
+def _richardson(p: WellParameters, grid: GridSpec, k: int, potential_fn) -> SpectrumResult:
+    """solve_spectrum without its argument checks."""
     coarse, _ = _solve_grid(p, grid.half_width, grid.points, k, potential_fn)
     fine, floor = _solve_grid(p, grid.half_width, 2 * grid.points - 1, k, potential_fn)
     extrapolated = fine + (fine - coarse) / 3.0
@@ -167,13 +172,10 @@ def default_grid(p: WellParameters) -> GridSpec:
 
     Finer is not better here: the doublet error is discretization + noise,
     and the noise term grows as 1/h^2, so a moderately coarse grid minimizes
-    the total.
+    the total.  The box clears _check_box's margin by one oscillator length.
     """
-    level = perturbed_level(p)
-    if not level.below_barrier:
-        raise ValueError("energy at or above barrier; no tunneling regime")
     s = p.oscillator_length
-    half_width = turning_points(p, level).gamma + 6.0 * s
+    half_width = turning_points(p, perturbed_level(p)).gamma + 6.0 * s
     n = int(math.ceil(2.0 * half_width / (0.06 * s))) + 1
     if n % 2 == 0:
         n += 1
@@ -187,11 +189,9 @@ def exact_splitting(p: WellParameters) -> tuple[float, float]:
     in 64-bit arithmetic that limits the double well to eta of roughly 0.15
     and above, where the splitting is ~1e-12 of the ground energy or larger.
     """
-    if eta_of(p) >= validity_boundary():
-        raise ValueError(
-            f"eta={eta_of(p)!r} is at or beyond the validity boundary; no tunneling doublet"
-        )
-    result = solve_spectrum(p, default_grid(p), k=2)
+    _check_validity(eta_of(p))
+    # the default grid passes the box check by construction
+    result = _richardson(p, default_grid(p), 2, None)
     if not result.splitting > 10.0 * result.splitting_estimate:
         raise ResolutionError(
             "splitting below numerical resolution: "
@@ -207,6 +207,7 @@ def doublet_parities(p: WellParameters, grid: GridSpec | None = None, k: int = 4
     well on a symmetric grid)."""
     if grid is None:
         grid = default_grid(p)
-    _check_box(p, grid, None)
+    else:
+        _check_box(p, grid, None)
     _, vec = _solve_grid(p, grid.half_width, grid.points, k, None, vectors=True)
     return tuple(float(np.dot(vec[::-1, i], vec[:, i])) for i in range(vec.shape[1]))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 
 import pytest
 
@@ -147,6 +148,25 @@ def test_sweep_byte_determinism_across_runs_and_schedules(tmp_path):
     assert main(base + ["--out", str(paths[2]), "--jobs", "4"]) == 0
     blobs = [path.read_bytes() for path in paths]
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_sweep_jobs_starts_no_thread(tmp_path, monkeypatch):
+    # --jobs is a compatibility no-op: evaluation stays in the calling thread
+    def refuse(self):
+        raise AssertionError("sweep started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    out = tmp_path / "jobs.csv"
+    assert main(["sweep", "--jobs", "4", "--steps", "5", "--out", str(out)]) == 0
+    assert len(_read_rows(out)) == 5
+
+
+def test_sweep_refuses_nonfinite_column(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(semiclassics, "delta_factor", lambda eta_value: math.nan)
+    out = tmp_path / "nan.csv"
+    assert main(["sweep", "--steps", "5", "--out", str(out)]) == 2
+    assert "column delta is not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_log_spacing(tmp_path):

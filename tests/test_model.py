@@ -87,6 +87,8 @@ def test_from_eta_examples():
     assert p.half_separation == pytest.approx(10.0, rel=1e-15)
     assert from_eta(0.122513).half_separation == pytest.approx(8.16240, abs=1e-4)
     assert from_eta(1.0).half_separation == 1.0
+    assert from_eta(np.int64(1)).half_separation == 1.0
+    assert from_eta(np.float32(0.1)).half_separation == 1.0 / float(np.float32(0.1))
 
 
 @given(value=st.floats(min_value=1e-3, max_value=10.0))
@@ -94,7 +96,7 @@ def test_from_eta_round_trip(value: float):
     assert eta(from_eta(value)) == pytest.approx(value, rel=1e-14)
 
 
-@pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf, None, "x"])
+@pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf, None, "x", True])
 def test_from_eta_rejects_nonpositive(bad):
     with pytest.raises(ValueError):
         from_eta(bad)

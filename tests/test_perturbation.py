@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import doublewell
 from doublewell import (
     AnharmonicExpansion,
     epsilon_closed_form,
@@ -23,6 +28,9 @@ from doublewell import (
 
 def test_epsilon_closed_form_value():
     assert epsilon_closed_form(0.1) == pytest.approx(0.01444375, rel=1e-12)
+    # numpy scalars are numbers like any other
+    assert epsilon_closed_form(np.float32(0.1)) == epsilon_closed_form(float(np.float32(0.1)))
+    assert epsilon_closed_form(np.int64(1)) == epsilon_closed_form(1.0)
 
 
 def test_epsilon_closed_form_root():
@@ -35,7 +43,7 @@ def test_epsilon_closed_form_small_eta_limit():
     assert epsilon_closed_form(1e-8) == pytest.approx(25.0 / 16.0 * 1e-16, rel=1e-10)
 
 
-@pytest.mark.parametrize("bad", [0.0, -0.2, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [0.0, -0.2, math.nan, math.inf, True])
 def test_epsilon_closed_form_domain(bad):
     with pytest.raises(ValueError):
         epsilon_closed_form(bad)
@@ -169,10 +177,6 @@ def test_below_barrier_with_negative_shift():
     assert level.energy < p.barrier_height
 
 
-def test_validity_boundary_with_no_shift():
-    assert validity_boundary(lambda et: 0.0) == pytest.approx(0.5, abs=1e-12)
-
-
 def test_validity_boundary_standard():
     boundary = validity_boundary()
     assert boundary == pytest.approx(0.6037523990662577, abs=1e-9)
@@ -182,6 +186,15 @@ def test_validity_boundary_standard():
     grid = np.linspace(1e-3, boundary - 1e-9, 500)
     values = 2.0 * grid * np.sqrt(1.0 + (grid**2 / 16.0) * (25.0 - 189.0 * grid**2))
     assert values.max() < 1.0
+
+
+def test_import_does_not_load_scipy_optimize():
+    # the boundary is closed form, so nothing needs a root finder at import
+    src = str(Path(doublewell.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, doublewell; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_turning_expression_small_in_table_range():

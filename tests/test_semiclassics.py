@@ -183,9 +183,11 @@ def test_instanton_frozen_values():
 
 
 def test_instanton_input_validation():
-    for bad in (0.0, -0.2, math.inf, math.nan):
+    for bad in (0.0, -0.2, math.inf, math.nan, True):
         with pytest.raises(ValueError):
             ln_splitting_instanton(bad)
+    assert ln_splitting_instanton(np.float32(0.1)) == ln_splitting_instanton(float(np.float32(0.1)))
+    assert ln_splitting_instanton(np.int64(1)) == ln_splitting_instanton(1.0)
 
 
 def test_instanton_defined_for_any_positive_eta():
