@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +39,8 @@ CSV_HEADER = (
     "ln_dE_instanton,delta,ratio_corrected,ratio_uncorrected"
 )
 _COLUMNS = CSV_HEADER.split(",")
-#: SplittingReport declares its fields in CSV column order
-_FIELDS = [f.name for f in fields(semiclassics.SplittingReport)]
+#: rows per array pass of `sweep`; bounds its working memory on large grids
+_BLOCK_ROWS = 1024
 
 #: Reference values of the corrected ratio sqrt(e/pi)*delta(eta), printed to
 #: five decimal places; `table1` recomputes and verifies every row.
@@ -77,9 +77,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.spacing not in ("linear", "log"):
             raise ValueError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
-        if int(self.steps) != self.steps or self.steps < 2:
-            raise ValueError(f"steps must be an integer >= 2, got {self.steps!r}")
-        object.__setattr__(self, "steps", int(self.steps))
+        object.__setattr__(self, "steps", _whole(self.steps, "steps", 2))
         boundary = validity_boundary()
         if not (0.0 < self.eta_min < self.eta_max < boundary):
             raise ValueError(
@@ -93,14 +91,12 @@ class SweepSpec:
         return np.geomspace(self.eta_min, self.eta_max, self.steps)
 
 
-def _csv_line(report: semiclassics.SplittingReport) -> str:
-    values = [getattr(report, name) for name in _FIELDS]
-    for column, value in zip(_COLUMNS, values):
-        if not math.isfinite(value):
-            raise ValueError(f"column {column} is not finite")
-    # repr gives the shortest decimal that round-trips, so files are
-    # byte-stable and parsing loses nothing
-    return ",".join(map(repr, values))
+def _whole(value, name: str, minimum: int) -> int:
+    """`value` as an int if it is a whole number >= minimum, else ValueError."""
+    whole = isinstance(value, (int, float)) and not isinstance(value, bool) and float(value).is_integer()
+    if not whole or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,18 +187,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sweep = SweepSpec(
         eta_min=float(_effective(args, "eta_min")),
         eta_max=float(_effective(args, "eta_max")),
-        steps=int(_effective(args, "steps")),
+        steps=_effective(args, "steps"),
         spacing=str(_effective(args, "spacing")),
     )
     tol = float(_effective(args, "tol"))
-    jobs = int(_effective(args, "jobs"))
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
-    # grid order is ascending eta by construction
-    rows = [_csv_line(semiclassics.splitting_report(from_eta(float(et)), tol=tol)) for et in sweep.grid()]
+    _whole(_effective(args, "jobs"), "jobs", 1)
+    # grid order is ascending eta by construction; natural units, a = 1/eta
+    grid = sweep.grid()
+    blocks = []
+    for first in range(0, len(grid), _BLOCK_ROWS):
+        block = semiclassics.splitting_table(1.0, 1.0, 1.0 / grid[first : first + _BLOCK_ROWS], 1.0, tol)
+        bad = np.argwhere(~np.isfinite(block))
+        if len(bad):
+            raise ValueError(f"column {_COLUMNS[bad[0][1]]} is not finite")
+        blocks.append(block)
     with open(args.out, "w", newline="") as fh:
-        fh.write("\n".join([CSV_HEADER] + rows) + "\n")
-    print(f"wrote {len(rows)} rows to {args.out}")
+        fh.write(CSV_HEADER + "\n")
+        for block in blocks:
+            # repr gives the shortest decimal that round-trips, so files are
+            # byte-stable and parsing loses nothing
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in block.tolist()))
+    print(f"wrote {len(grid)} rows to {args.out}")
     return 0
 
 
@@ -226,6 +231,7 @@ def _well_from_args(args: argparse.Namespace) -> WellParameters:
 def cmd_splitting(args: argparse.Namespace) -> int:
     p = _well_from_args(args)
     tol = float(_effective(args, "tol"))
+    semiclassics._check_tol(tol)
     et = eta_of(p)
     hw = p.hbar * p.angular_frequency
     if args.method == "wkb-exact":
@@ -286,12 +292,9 @@ def _validation_checks() -> list[dict]:
     # quadrature self-consistency: tightening tol moves the result by less
     # than the coarser run's own error estimate
     p = from_eta(0.1)
-    level = perturbed_level(p)
-    tp = semiclassics.turning_points(p, level)
-    s_coarse, s_est = semiclassics._action_with_estimate(p, tp, tol=1e-8)
-    t_coarse, t_est = semiclassics._period_with_estimate(p, tp, tol=1e-8)
-    s_fine, _ = semiclassics._action_with_estimate(p, tp, tol=1e-10)
-    t_fine, _ = semiclassics._period_with_estimate(p, tp, tol=1e-10)
+    coarse, fine = semiclassics._one_row(p, tol=1e-8), semiclassics._one_row(p, tol=1e-10)
+    s_coarse, s_est, s_fine = float(coarse.action[0]), float(coarse.action_estimate[0]), float(fine.action[0])
+    t_coarse, t_est, t_fine = float(coarse.period[0]), float(coarse.period_estimate[0]), float(fine.period[0])
     ok = abs(s_coarse - s_fine) <= max(s_est * abs(s_coarse), 1e-15) and abs(t_coarse - t_fine) <= max(
         t_est * abs(t_coarse), 1e-15
     )

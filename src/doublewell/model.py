@@ -23,21 +23,25 @@ __all__ = [
 ]
 
 
-def positive_real(value, name: str) -> float:
-    """`value` as a finite, strictly positive float, else ValueError naming `name`.
+def positive_real(value, name: str):
+    """`value` as finite, strictly positive float64, else ValueError naming `name`.
 
-    The one validator for eta and the physical parameters: anything float()
-    accepts (numpy scalars included) except bool, which is a flag, not a number.
+    The one validator for eta and the physical parameters.  A scalar (numpy
+    scalars included) comes back as a Python float, an array as a float64
+    array whose every element passed.  Bools are flags, not numbers, and
+    are refused.
     """
-    if isinstance(value, bool):
+    raw = np.asarray(value)
+    if raw.dtype.kind in "bc":
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
-        value = float(value)
+        array = raw.astype(np.float64)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a real number, got {value!r}") from None
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    return value
+    good = np.isfinite(array) & (array > 0.0)
+    if not good.all():
+        raise ValueError(f"{name} must be finite and positive, got {float(array[~good].flat[0])!r}")
+    return float(array) if array.ndim == 0 else array
 
 
 @dataclass(frozen=True)

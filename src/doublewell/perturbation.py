@@ -93,9 +93,10 @@ class PerturbedLevel:
     below_barrier: bool
 
 
-def epsilon_closed_form(eta_value: float) -> float:
+def epsilon_closed_form(eta_value):
     """Fractional second-order shift of the well ground level,
-    (eta^2/16)(25 - 189 eta^2), for the standard coefficient set."""
+    (eta^2/16)(25 - 189 eta^2), for the standard coefficient set;
+    elementwise for an eta array."""
     e2 = positive_real(eta_value, "eta") ** 2
     return (e2 / 16.0) * (25.0 - 189.0 * e2)
 

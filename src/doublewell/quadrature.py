@@ -42,13 +42,18 @@ def integrate(
     tol: float = 1e-10,
     start: int = 16,
     budget: int = 4096,
-) -> tuple[float, float]:
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Integrate vectorized f over [lo, hi] to relative tolerance tol.
 
     Doubles the node count until two consecutive rules agree to tol in
     relative terms, then returns (value, achieved relative estimate).
     Raises QuadratureError with the last estimate if `budget` nodes are
     reached without convergence.
+
+    f may also map the node vector to a (rows, n) array, one integrand per
+    row; the result is then a pair of per-row arrays.  Each row keeps the
+    first rule pair that meets tol, so its result does not depend on the
+    other rows, and the error carries the worst unconverged row's estimate.
     """
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must be in (0, 1), got {tol!r}")
@@ -57,19 +62,29 @@ def integrate(
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     previous = None
-    estimate = np.inf
     n = start
     while n <= budget:
         x, w = _nodes(n)
-        value = half * float(np.dot(w, f(mid + half * x)))
-        if previous is not None:
-            scale = max(abs(value), np.finfo(float).tiny)
-            estimate = abs(value - previous) / scale
-            if estimate <= tol:
+        # the same pairwise sum for 1-D and 2-D, so a row is bit-identical
+        # to the 1-D call on that row (a matrix-vector product is not)
+        current = half * (f(mid + half * x) * w).sum(axis=-1)
+        if previous is None:
+            value = current
+            estimate = np.full(np.shape(current), np.inf)
+            converged = np.zeros(np.shape(current), dtype=bool)
+        else:
+            change = np.abs(current - previous) / np.maximum(np.abs(current), np.finfo(float).tiny)
+            value = np.where(converged, value, current)
+            estimate = np.where(converged, estimate, change)
+            converged = converged | (change <= tol)
+            if converged.all():
+                if value.ndim == 0:
+                    return float(value), float(estimate)
                 return value, estimate
-        previous = value
+        previous = current
         n *= 2
+    worst = float(np.max(estimate[~converged]))
     raise QuadratureError(
-        f"quadrature stalled at relative estimate {estimate:.3e} with {budget} nodes (tol {tol:.1e})",
-        estimate=float(estimate),
+        f"quadrature stalled at relative estimate {worst:.3e} with {budget} nodes (tol {tol:.1e})",
+        estimate=worst,
     )

@@ -5,11 +5,13 @@ from __future__ import annotations
 import json
 import math
 import threading
+from dataclasses import astuple
 
+import numpy as np
 import pytest
 
 import doublewell.semiclassics as semiclassics
-from doublewell import SQRT_E_OVER_PI, epsilon_closed_form
+from doublewell import SQRT_E_OVER_PI, epsilon_closed_form, from_eta
 from doublewell.cli import CSV_HEADER, REFERENCE_RATIOS, main
 
 
@@ -96,6 +98,7 @@ def test_splitting_physical_parameters(capsys):
         ["splitting", "--m", "2.0", "--method", "instanton"],
         ["splitting", "--eta", "0.65", "--method", "asymptotic"],
         ["splitting", "--eta", "0.1", "--method", "wkb-exact", "--tol", "1e-5"],
+        ["splitting", "--eta", "0.1", "--method", "instanton", "--tol", "5"],
     ],
 )
 def test_splitting_usage_and_domain_errors(argv, capsys):
@@ -169,6 +172,26 @@ def test_sweep_refuses_nonfinite_column(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spacing", ["linear", "log"])
+def test_sweep_rows_equal_one_row_reports(tmp_path, spacing):
+    # the batched sweep and the one-row report are the same code path: every
+    # row's bytes are those of splitting_report at that eta, across a block
+    # boundary too, whatever grid the row belongs to
+    out = tmp_path / "rows.csv"
+    steps = 1100
+    argv = [
+        "sweep", "--eta-min", "0.021", "--eta-max", "0.149",
+        "--steps", str(steps), "--spacing", spacing, "--out", str(out),
+    ]
+    assert main(argv) == 0
+    grid = (np.linspace if spacing == "linear" else np.geomspace)(0.021, 0.149, steps)
+    lines = out.read_text().splitlines()[1:]
+    assert len(lines) == steps
+    for eta_value, line in zip(grid, lines):
+        report = semiclassics.splitting_report(from_eta(float(eta_value)))
+        assert line == ",".join(map(repr, astuple(report)))
+
+
 def test_sweep_log_spacing(tmp_path):
     out = tmp_path / "log.csv"
     argv = [
@@ -219,7 +242,13 @@ def test_flag_overrides_config(tmp_path):
 
 @pytest.mark.parametrize(
     "payload",
-    [json.dumps({"stepz": 7}), "{nope", json.dumps([1, 2, 3])],
+    [
+        json.dumps({"stepz": 7}),
+        "{nope",
+        json.dumps([1, 2, 3]),
+        json.dumps({"steps": 7.9}),
+        json.dumps({"jobs": 0.5}),
+    ],
 )
 def test_config_file_rejected(tmp_path, payload, capsys):
     cfg = tmp_path / "cfg.json"

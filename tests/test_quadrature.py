@@ -62,3 +62,41 @@ def test_deterministic():
     first = integrate(f, -2.0, 2.0, tol=1e-11)
     second = integrate(f, -2.0, 2.0, tol=1e-11)
     assert first == second
+
+
+def _row_integrand(ks):
+    """sin(k x) for each k, as one (rows, n) integrand and as 1-D ones."""
+    column = np.asarray(ks, dtype=float)[:, None]
+    return (lambda x: np.sin(column * x)), [(lambda x, k=k: np.sin(k * x)) for k in ks]
+
+
+def test_batched_rows_match_one_dimensional_calls_bit_for_bit():
+    cs = np.array([0.5, 1.0, 2.0, 3.0, 5.0])
+    values, estimates = integrate(lambda x: np.exp(-cs[:, None] * x * x) * np.cos(5.0 * x), -2.0, 2.0, tol=1e-11)
+    assert values.shape == estimates.shape == cs.shape
+    for c, value, estimate in zip(cs, values, estimates):
+        assert (value, estimate) == integrate(lambda x: np.exp(-c * x * x) * np.cos(5.0 * x), -2.0, 2.0, tol=1e-11)
+
+
+def test_batched_rows_keep_their_own_first_converged_rule():
+    ks = [1.0, 10.0, 40.0, 100.0]
+    batched, singles = _row_integrand(ks)
+    values, estimates = integrate(batched, 0.0, 1.0, tol=1e-12)
+    largest = []
+    for f, value, estimate in zip(singles, values, estimates):
+        sizes = []
+        assert (value, estimate) == integrate(lambda x: sizes.append(x.size) or f(x), 0.0, 1.0, tol=1e-12)
+        assert estimate <= 1e-12
+        largest.append(max(sizes))
+    # the rows converge at different node counts, yet the batch, which runs
+    # until its slowest row converges, returns each row's own first result
+    assert len(set(largest)) > 1
+
+
+def test_one_stalled_row_raises_with_its_estimate():
+    batched, singles = _row_integrand([1.0, 2.0, 1e3])
+    with pytest.raises(QuadratureError) as single:
+        integrate(singles[-1], 0.0, 1.0, tol=1e-10, budget=256)
+    with pytest.raises(QuadratureError) as excinfo:
+        integrate(batched, 0.0, 1.0, tol=1e-10, budget=256)
+    assert excinfo.value.estimate == single.value.estimate > 1e-10
