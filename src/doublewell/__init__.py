@@ -2,7 +2,7 @@
 
 The ground doublet of V(x) = (m w^2 / (8 a^2)) (x - a)^2 (x + a)^2 is split
 by barrier tunneling.  This package computes that splitting three ways —
-direct quadrature of the semiclassical action/period integrals, the
+the WKB formula with the action/period integrals in closed form, the
 small-eta asymptotic formula with its anharmonicity correction factor
 delta(eta), and the instanton formula — and cross-checks them with an
 independent perturbation-theory engine and a finite-difference eigensolver.

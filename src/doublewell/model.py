@@ -49,8 +49,9 @@ class WellParameters:
     """Physical inputs: mass, oscillation frequency about a minimum,
     half-separation of the minima, and hbar.
 
-    All fields must be finite and strictly positive (see positive_real).
-    Validation happens once, here; downstream code assumes a valid instance.
+    All fields must be finite and strictly positive (see positive_real), and
+    so must the eta they imply in float64.  Validation happens once, here;
+    downstream code assumes a valid instance.
     """
 
     mass: float = 1.0
@@ -61,6 +62,12 @@ class WellParameters:
     def __post_init__(self) -> None:
         for name in ("mass", "angular_frequency", "half_separation", "hbar"):
             object.__setattr__(self, name, positive_real(getattr(self, name), name))
+        try:
+            implied = eta(self)
+        except (OverflowError, ZeroDivisionError):
+            implied = math.nan
+        if not 0.0 < implied < math.inf:
+            raise ValueError(f"eta = sqrt(hbar / (m w a^2)) over- or underflows float64 for {self!r}")
 
     @property
     def barrier_height(self) -> float:

@@ -1,9 +1,9 @@
 """Turning points, barrier/period integrals, and the tunneling splitting
 computed three ways.
 
-The three routes to the ground-doublet splitting are: direct quadrature of
-the action and period integrals ("wkb-exact"), the small-eta asymptotic
-formula carrying the anharmonicity correction factor delta(eta)
+The three routes to the ground-doublet splitting are: the WKB formula with
+the action and period integrals in closed form ("wkb-exact"), the small-eta
+asymptotic formula carrying the anharmonicity correction factor delta(eta)
 ("asymptotic"), and the instanton formula ("instanton").  Exponentially
 small magnitudes are handled in log space throughout: every splitting has
 an ln(dE / hbar w) form, and ratios are differences of logs.
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +44,10 @@ __all__ = [
 #: sqrt(e/pi) = 0.930191367...
 SQRT_E_OVER_PI = math.sqrt(math.e / math.pi)
 
-_TOL_RANGE = (1e-13, 1e-6)
 _ETA_BOUNDARY = validity_boundary()
+#: relative rounding bound of the closed-form S and w T (held to an mpmath
+#: oracle in the tests), so ln dE = ln 2 - ln(w T) - S is good to _ROUNDING (1 + S)
+_ROUNDING = 8.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -80,12 +81,6 @@ class SplittingReport:
     delta: float
     ratio_corrected: float
     ratio_uncorrected: float
-
-
-def _check_tol(tol: float) -> None:
-    lo, hi = _TOL_RANGE
-    if not (lo <= tol <= hi):
-        raise ValueError(f"tol must lie in [{lo:g}, {hi:g}], got {tol!r}")
 
 
 def _check_validity(eta_value) -> None:
@@ -124,43 +119,57 @@ def turning_points(p: WellParameters, level: PerturbedLevel) -> TurningPoints:
     return TurningPoints(alpha=float(alpha), gamma=float(gamma))
 
 
-class _Route(NamedTuple):
-    """Everything the quadrature route computes, one array element per row."""
+def _agm(k: np.ndarray, k_complement: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K(m) and 1 - E(m)/K(m) = sum_n 2^(n-1) c_n^2, elementwise, from the modulus
+    k = sqrt(m) < 1 and its complement sqrt(1 - m), by the arithmetic-geometric
+    mean (Abramowitz & Stegun 17.6.1-17.6.4)."""
+    a, b, c = np.ones_like(k), k_complement, k
+    weight, total = 0.5, 0.5 * k * k
+    for _ in range(16):  # every float64 m < 1 stops within 8 steps
+        a, b, c = 0.5 * (a + b), np.sqrt(a * b), 0.5 * (a - b)
+        weight *= 2.0
+        total = total + weight * c * c
+        # quadratic convergence: once c <= 1e-9 a, a is exact to rounding
+        if np.all(c <= 1e-9 * a):
+            break
+    return 0.5 * math.pi / a, total
 
-    eta: np.ndarray
-    epsilon: np.ndarray
-    alpha: np.ndarray
-    gamma: np.ndarray
-    action: np.ndarray
-    action_estimate: np.ndarray
-    period: np.ndarray
-    period_estimate: np.ndarray
-    ln_splitting: np.ndarray
 
-
-def _quadrature_route(mass, angular_frequency, half_separation, hbar, tol: float, epsilon=None) -> _Route:
-    """The quadrature route over numpy-broadcastable well fields.
-
-    Guards tol and the validity boundary, takes the level shift from the
-    closed form (or `epsilon`, if given), and integrates the barrier action
-    and the period for every row at once.  The action is
-    (m w / (hbar a)) * int_0^alpha sqrt((alpha^2-x^2)(gamma^2-x^2)) dx, with
-    x = alpha sin^2(theta) absorbing the sqrt-type endpoint zero; the period is
-    (8 a / w) * int_0^{pi/2} dtheta / sqrt((gamma + x)(x + alpha)), with
-    x = alpha cos^2(theta) + gamma sin^2(theta) absorbing the inverse-sqrt
-    singularities at both turning points.  Both theta-integrands are smooth on
-    [0, pi/2].
-    """
-    _check_tol(tol)
-    # numpy arithmetic from the start, so one row and a block round alike
-    mass, angular_frequency, half_separation, hbar = (
-        np.asarray(v, dtype=np.float64) for v in (mass, angular_frequency, half_separation, hbar)
+def _elliptic_integrals(alpha, gamma):
+    """The action integral int_0^alpha sqrt((alpha^2-x^2)(gamma^2-x^2)) dx and
+    the period integral (1/2) int_alpha^gamma dx / sqrt((x^2-alpha^2)(gamma^2-x^2)),
+    elementwise in closed form with m = (alpha/gamma)^2:
+    (gamma/3) [(alpha^2+gamma^2) E(m) - (gamma^2-alpha^2) K(m)] and
+    K(1-m) / (2 gamma)."""
+    # gamma - alpha is exact once alpha >= gamma/2, so sqrt(1 - m) keeps its digits as m -> 1
+    k, k_complement = alpha / gamma, np.sqrt((gamma - alpha) * (gamma + alpha)) / gamma
+    # K and its complement in one pass: m and 1 - m stacked
+    (big_k, big_k_complement), (deficit, deficit_complement) = _agm(
+        np.stack([k, k_complement]), np.stack([k_complement, k])
     )
-    et = np.atleast_1d(np.sqrt(hbar / (mass * angular_frequency * half_separation**2)))
-    _check_validity(et)
-    eps = epsilon_closed_form(et) if epsilon is None else epsilon
-    alpha, gamma = _turning_points(half_separation, et, eps)
-    al, ga = alpha[:, None], gamma[:, None]
+    alpha2, gamma2 = alpha * alpha, gamma * gamma
+    # the bracket in a form that does not cancel: for m < 1/2 with E = K (1 - deficit),
+    # for m >= 1/2 with Legendre's relation E = pi / (2 K(1-m)) + K deficit(1-m)
+    e = 0.5 * math.pi / big_k_complement + big_k * deficit_complement
+    bracket = np.where(
+        k * k < 0.5,
+        big_k * (2.0 * alpha2 - (alpha2 + gamma2) * deficit),
+        (alpha2 + gamma2) * e - (gamma - alpha) * (gamma + alpha) * big_k,
+    )
+    return gamma / 3.0 * bracket, 0.5 * big_k_complement / gamma
+
+
+def _quadrature_integrals(alpha, gamma, tol: float):
+    """The two integrals of _elliptic_integrals by Gauss-Legendre quadrature,
+    as (action, its estimate, period, its estimate): the independent
+    reference that validate and the tests hold the closed form to.
+
+    x = alpha sin^2(theta) absorbs the sqrt-type endpoint zero of the action
+    integrand, and x = alpha cos^2(theta) + gamma sin^2(theta) the
+    inverse-sqrt singularities of the period integrand, which leaves
+    int_0^{pi/2} dtheta / sqrt((gamma+x)(x+alpha)); both are smooth on [0, pi/2].
+    """
+    al, ga = np.asarray(alpha)[..., None], np.asarray(gamma)[..., None]
     ga2 = ga * ga
 
     def action_integrand(theta: np.ndarray) -> np.ndarray:
@@ -174,50 +183,65 @@ def _quadrature_route(mass, angular_frequency, half_separation, hbar, tol: float
         x = al + (ga - al) * s * s
         return 1.0 / np.sqrt((ga + x) * (x + al))
 
-    action, action_est = integrate(action_integrand, 0.0, 0.5 * math.pi, tol=tol)
-    period, period_est = integrate(period_integrand, 0.0, 0.5 * math.pi, tol=tol)
-    action = mass * angular_frequency / (hbar * half_separation) * action
-    period = 8.0 * half_separation / angular_frequency * period
-    return _Route(
-        eta=et,
-        epsilon=np.broadcast_to(eps, et.shape),
-        alpha=alpha,
-        gamma=gamma,
-        action=action,
-        action_estimate=action_est,
-        period=period,
-        period_estimate=period_est,
-        # dE = (2 hbar / T) e^{-S}
-        ln_splitting=math.log(2.0) - np.log(angular_frequency * period) - action,
+    action, action_estimate = integrate(action_integrand, 0.0, 0.5 * math.pi, tol=tol)
+    period, period_estimate = integrate(period_integrand, 0.0, 0.5 * math.pi, tol=tol)
+    return action, action_estimate, period, period_estimate
+
+
+def _wkb_route(mass, angular_frequency, half_separation, hbar, epsilon=None) -> np.ndarray:
+    """splitting_table, with the level shift taken from `epsilon` if given: guards
+    the validity boundary, then takes S = (m w / (hbar a)) * (action integral) and
+    T = (8 a / w) * (period integral) in closed form (see _elliptic_integrals)."""
+    # numpy arithmetic from the start, so one row and a block round alike
+    mass, angular_frequency, half_separation, hbar = (
+        np.asarray(v, dtype=np.float64) for v in (mass, angular_frequency, half_separation, hbar)
     )
+    et = np.atleast_1d(np.sqrt(hbar / (mass * angular_frequency * half_separation**2)))
+    _check_validity(et)
+    eps = epsilon_closed_form(et) if epsilon is None else epsilon
+    alpha, gamma = _turning_points(half_separation, et, eps)
+    action, period = _elliptic_integrals(alpha, gamma)
+    action = mass * angular_frequency / (hbar * half_separation) * action
+    omega_t = 8.0 * half_separation * period
+    # looked up at call time, so a replaced delta_factor reaches the report
+    delta = np.broadcast_to(delta_factor(et), et.shape)
+    return np.column_stack([
+        et,
+        np.broadcast_to(eps, et.shape),
+        alpha,
+        gamma,
+        action,
+        omega_t,
+        # dE = (2 hbar / T) e^{-S}
+        math.log(2.0) - np.log(omega_t) - action,
+        ln_splitting_asymptotic(et),
+        ln_splitting_instanton(et),
+        delta,
+        SQRT_E_OVER_PI * delta,
+        np.full(et.shape, SQRT_E_OVER_PI),
+    ])
 
 
-def _one_row(p: WellParameters, tol: float, level: PerturbedLevel | None = None) -> _Route:
-    """The quadrature route at the well p, optionally at a given level."""
-    return _quadrature_route(
-        p.mass, p.angular_frequency, p.half_separation, p.hbar, tol,
+def _one_row(p: WellParameters, level: PerturbedLevel | None = None) -> SplittingReport:
+    """The report at the well p, with the WKB route taken at `level` if given."""
+    row = _wkb_route(
+        p.mass, p.angular_frequency, p.half_separation, p.hbar,
         epsilon=None if level is None else level.epsilon,
     )
+    return SplittingReport(*row[0].tolist())
 
 
-def action_S(
-    p: WellParameters, level: PerturbedLevel, tp: TurningPoints, tol: float = 1e-10
-) -> float:
+def action_S(p: WellParameters, level: PerturbedLevel) -> float:
     """Dimensionless barrier integral of sqrt(2m(V - E))/hbar between -alpha
-    and +alpha, by quadrature with the endpoint zeros absorbed (estimated
-    relative error <= tol).  tp must be turning_points(p, level), which the
-    route recomputes."""
-    return float(_one_row(p, tol, level).action[0])
+    and +alpha at the level, in closed form (complete elliptic integrals)."""
+    return _one_row(p, level).action
 
 
-def period_T(
-    p: WellParameters, level: PerturbedLevel, tp: TurningPoints, tol: float = 1e-10
-) -> float:
+def period_T(p: WellParameters, level: PerturbedLevel) -> float:
     """Classical period (time units) of oscillation at energy E in one well,
-    int sqrt(2m)/sqrt(E - V) dx over [alpha, gamma]; the integrable
-    inverse-sqrt endpoint singularities are absorbed by substitution.
-    tp must be turning_points(p, level), which the route recomputes."""
-    return float(_one_row(p, tol, level).period[0])
+    int sqrt(2m)/sqrt(E - V) dx over [alpha, gamma], in closed form
+    (4 a / (w gamma)) K(1 - alpha^2/gamma^2)."""
+    return _one_row(p, level).omega_t / p.angular_frequency
 
 
 def ln_delta_factor(eta_value):
@@ -251,26 +275,21 @@ def ln_splitting_asymptotic(eta_value):
     return ln_splitting_instanton(eta_value) + math.log(SQRT_E_OVER_PI) + ln_delta_factor(eta_value)
 
 
-def ln_splitting_wkb_exact(
-    p: WellParameters, level: PerturbedLevel | None = None, tol: float = 1e-10
-) -> tuple[float, float]:
-    """ln(dE / hbar w) from the quadrature route dE = (2 hbar / T) e^{-S}.
+def ln_splitting_wkb_exact(p: WellParameters, level: PerturbedLevel | None = None) -> tuple[float, float]:
+    """ln(dE / hbar w) from the WKB route dE = (2 hbar / T) e^{-S}.
 
-    Returns (log value, propagated relative error estimate); the estimate
-    combines the achieved period estimate with the action estimate amplified
-    by S, since dE depends on S through e^{-S}.
+    Returns (log value, relative error estimate of dE); the estimate is the
+    closed form's rounding bound, with the action's share amplified by S,
+    since dE depends on S through e^{-S}.
     """
-    route = _one_row(p, tol, level)
-    estimate = route.period_estimate + route.action * route.action_estimate
-    return float(route.ln_splitting[0]), float(estimate[0])
+    report = _one_row(p, level)
+    return report.ln_de_wkb, _ROUNDING * (1.0 + report.action)
 
 
-def splitting_wkb_exact(
-    p: WellParameters, level: PerturbedLevel | None = None, tol: float = 1e-10
-) -> float:
-    """Tunneling splitting (energy units) by direct quadrature,
+def splitting_wkb_exact(p: WellParameters, level: PerturbedLevel | None = None) -> float:
+    """Tunneling splitting (energy units) from the WKB route,
     (2 hbar / T) e^{-S}; underflows to 0.0 below roughly eta = 0.03."""
-    ln_value, _ = ln_splitting_wkb_exact(p, level, tol)
+    ln_value, _ = ln_splitting_wkb_exact(p, level)
     return p.hbar * p.angular_frequency * math.exp(ln_value)
 
 
@@ -291,32 +310,14 @@ def ratio_wkb_instanton(eta_value):
     return SQRT_E_OVER_PI * delta_factor(eta_value)
 
 
-def splitting_table(mass, angular_frequency, half_separation, hbar, tol: float = 1e-10) -> np.ndarray:
+def splitting_table(mass, angular_frequency, half_separation, hbar) -> np.ndarray:
     """All three routes over numpy-broadcastable well fields, as a float
     array of shape (rows, 12) whose columns are the SplittingReport fields
     in order.  Row i depends only on the fields of row i."""
-    route = _quadrature_route(mass, angular_frequency, half_separation, hbar, tol)
-    et = route.eta
-    # looked up at call time, so a replaced delta_factor reaches the report
-    delta = np.broadcast_to(delta_factor(et), et.shape)
-    return np.column_stack([
-        et,
-        route.epsilon,
-        route.alpha,
-        route.gamma,
-        route.action,
-        angular_frequency * route.period,
-        route.ln_splitting,
-        ln_splitting_asymptotic(et),
-        ln_splitting_instanton(et),
-        delta,
-        SQRT_E_OVER_PI * delta,
-        np.full(et.shape, SQRT_E_OVER_PI),
-    ])
+    return _wkb_route(mass, angular_frequency, half_separation, hbar)
 
 
-def splitting_report(p: WellParameters, tol: float = 1e-10) -> SplittingReport:
+def splitting_report(p: WellParameters) -> SplittingReport:
     """All three routes at the eta of p, as one row of scaled, log-domain
     numbers (see SplittingReport)."""
-    row = splitting_table(p.mass, p.angular_frequency, p.half_separation, p.hbar, tol)
-    return SplittingReport(*row[0].tolist())
+    return _one_row(p)

@@ -97,13 +97,29 @@ def test_splitting_physical_parameters(capsys):
         ["splitting", "--eta", "0.1", "--a", "10", "--method", "instanton"],
         ["splitting", "--m", "2.0", "--method", "instanton"],
         ["splitting", "--eta", "0.65", "--method", "asymptotic"],
-        ["splitting", "--eta", "0.1", "--method", "wkb-exact", "--tol", "1e-5"],
-        ["splitting", "--eta", "0.1", "--method", "instanton", "--tol", "5"],
+        # wells whose eta over- or underflows float64
+        ["splitting", "--a", "1e-200", "--method", "instanton"],
+        ["splitting", "--a", "1e200", "--method", "wkb-exact"],
+        ["splitting", "--eta", "1e-200", "--method", "instanton"],
     ],
 )
 def test_splitting_usage_and_domain_errors(argv, capsys):
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["splitting", "--eta", "0.1", "--method", "wkb-exact", "--tol", "1e-5"],
+        ["splitting", "--eta", "0.1", "--method", "instanton", "--tol", "5"],
+    ],
+)
+def test_tol_option_is_gone(argv):
+    # the closed-form route has nothing to converge, so --tol is not an option
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
 
 
 def test_sweep_writes_csv(tmp_path, capsys):
@@ -248,6 +264,9 @@ def test_flag_overrides_config(tmp_path):
         json.dumps([1, 2, 3]),
         json.dumps({"steps": 7.9}),
         json.dumps({"jobs": 0.5}),
+        json.dumps({"tol": 1e-10}),
+        json.dumps({"eta_min": None}),
+        json.dumps({"eta_max": {}}),
     ],
 )
 def test_config_file_rejected(tmp_path, payload, capsys):

@@ -119,6 +119,21 @@ def test_parameter_validation(kwargs):
         WellParameters(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"half_separation": 1e-200},  # m w a^2 underflows to 0
+        {"half_separation": 1e200},  # a^2 overflows
+        {"mass": 1e-160, "angular_frequency": 1e-160},  # hbar / (m w a^2) overflows to inf
+        {"hbar": 1e-300, "mass": 1e300, "half_separation": 1e10},  # eta underflows to 0
+    ],
+)
+def test_parameters_whose_eta_leaves_float64_rejected(kwargs):
+    # every field is finite and positive, but the eta they imply is not
+    with pytest.raises(ValueError, match="eta"):
+        WellParameters(**kwargs)
+
+
 def test_potential_scalar_and_array_agree():
     p = WellParameters(half_separation=3.0)
     xs = [-2.0, 0.0, 1.5, 3.0, 7.0]

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import ellipe, ellipk
+
+import doublewell.semiclassics as semiclassics
 
 from doublewell import (
     SQRT_E_OVER_PI,
@@ -26,11 +29,12 @@ from doublewell import (
     splitting_asymptotic,
     splitting_instanton,
     splitting_report,
+    splitting_table,
     splitting_wkb_exact,
     turning_points,
 )
 
-# Frozen quadrature results (natural units, tol=1e-10 defaults reproduce
+# Frozen quadrature results (natural units; the closed forms reproduce
 # these to well below the comparison tolerance).
 GOLDEN = {
     0.08: dict(S=99.711295140364442, T=6.3140697007243212,
@@ -56,27 +60,72 @@ def test_frozen_action_period_turning_points(eta_value):
     ref = GOLDEN[eta_value]
     assert tp.alpha == pytest.approx(ref["alpha"], rel=1e-12)
     assert tp.gamma == pytest.approx(ref["gamma"], rel=1e-12)
-    assert action_S(p, level, tp) == pytest.approx(ref["S"], rel=1e-12)
-    assert period_T(p, level, tp) == pytest.approx(ref["T"], rel=1e-12)
+    assert action_S(p, level) == pytest.approx(ref["S"], rel=1e-12)
+    assert period_T(p, level) == pytest.approx(ref["T"], rel=1e-12)
 
 
 @pytest.mark.parametrize("eta_value", sorted(GOLDEN))
 def test_quadrature_matches_elliptic_closed_forms(eta_value):
     # Both integrals reduce to complete elliptic integrals with
-    # parameter m = alpha^2/gamma^2 (or its complement), an independent
-    # closed-form check on the quadrature route.
+    # parameter m = alpha^2/gamma^2 (or its complement).  scipy.special's
+    # K and E check both the AGM closed form of the route and the
+    # quadrature reference it is validated against.
     p, level, tp = _natural_setup(eta_value)
     al, ga = tp.alpha, tp.gamma
     m = (al / ga) ** 2
 
     period_closed = 4.0 * p.half_separation / (p.angular_frequency * ga) * ellipk(1.0 - m)
-    assert period_T(p, level, tp, tol=1e-13) == pytest.approx(period_closed, rel=1e-12)
+    assert period_T(p, level) == pytest.approx(period_closed, rel=1e-12)
 
     integral_closed = al * al * ga * ((1.0 + m) * ellipe(m) - (1.0 - m) * ellipk(m)) / (3.0 * m)
     action_closed = (
         p.mass * p.angular_frequency / (p.hbar * p.half_separation) * integral_closed
     )
-    assert action_S(p, level, tp, tol=1e-13) == pytest.approx(action_closed, rel=1e-12)
+    assert action_S(p, level) == pytest.approx(action_closed, rel=1e-12)
+
+    action_ref, _, period_ref, _ = semiclassics._quadrature_integrals(np.array([al]), np.array([ga]), tol=1e-13)
+    assert 8.0 * p.half_separation / p.angular_frequency * period_ref[0] == pytest.approx(period_closed, rel=1e-12)
+    assert action_ref[0] == pytest.approx(integral_closed, rel=1e-12)
+
+
+def test_closed_form_matches_mpmath_oracle():
+    # 40-digit mpmath from the same float inputs, from deep tunneling up to
+    # the validity boundary 0.6037523990662577: the closed-form integrals at
+    # the route's own turning points are good to 1e-15 (about 4.5 ulp), S and
+    # omega T end to end to 4e-15, and the returned estimate bounds the
+    # ln dE error
+    etas = np.concatenate([
+        np.geomspace(0.001, 0.01, 20, endpoint=False),
+        np.linspace(0.01, 0.6, 200, endpoint=False),
+        np.linspace(0.6, 0.6037523990662, 30),
+    ])
+    half_separation = 1.0 / etas
+    table = splitting_table(1.0, 1.0, half_separation, 1.0)
+    integrals = semiclassics._elliptic_integrals(table[:, 2], table[:, 3])
+
+    def exact_integrals(al, ga):
+        m = (al / ga) ** 2
+        bracket = (al**2 + ga**2) * mpmath.ellipe(m) - (ga**2 - al**2) * mpmath.ellipk(m)
+        return ga / 3 * bracket, mpmath.ellipk(1 - m) / (2 * ga)
+
+    with mpmath.workdps(40):
+        for row, a, action_integral, period_integral in zip(table, half_separation, *integrals):
+            closed = exact_integrals(mpmath.mpf(row[2]), mpmath.mpf(row[3]))
+            assert abs(action_integral - closed[0]) <= 1e-15 * closed[0]
+            assert abs(period_integral - closed[1]) <= 1e-15 * closed[1]
+
+            a_mp = mpmath.mpf(a)
+            eta_mp = 1 / a_mp
+            eps = eta_mp**2 / 16 * (25 - 189 * eta_mp**2)
+            root = 2 * eta_mp * mpmath.sqrt(1 + eps)
+            action, period = exact_integrals(a_mp * mpmath.sqrt(1 - root), a_mp * mpmath.sqrt(1 + root))
+            exact_action, exact_omega_t = action / a_mp, 8 * a_mp * period
+            assert abs(row[4] - exact_action) <= 4e-15 * exact_action
+            assert abs(row[5] - exact_omega_t) <= 4e-15 * exact_omega_t
+            exact_ln_de = mpmath.log(2) - mpmath.log(exact_omega_t) - exact_action
+            ln_value, estimate = ln_splitting_wkb_exact(WellParameters(half_separation=a))
+            assert ln_value == row[6]
+            assert abs(ln_value - exact_ln_de) <= estimate
 
 
 def test_turning_points_for_unshifted_level():
@@ -111,41 +160,27 @@ def test_above_barrier_level_rejected():
     high = PerturbedLevel(unperturbed=0.5, epsilon=30.0, energy=15.5, below_barrier=False)
     with pytest.raises(ValueError, match="barrier"):
         turning_points(p, high)
-    tp = turning_points(p, perturbed_level(p))
     with pytest.raises(ValueError, match="barrier"):
-        action_S(p, high, tp)
+        action_S(p, high)
     with pytest.raises(ValueError, match="barrier"):
-        period_T(p, high, tp)
-
-
-def test_tolerance_range_enforced():
-    p, level, tp = _natural_setup(0.1)
-    for bad in (1e-14, 1e-5, 0.0, -1e-10):
-        with pytest.raises(ValueError, match="tol"):
-            action_S(p, level, tp, tol=bad)
-        with pytest.raises(ValueError, match="tol"):
-            period_T(p, level, tp, tol=bad)
-        with pytest.raises(ValueError, match="tol"):
-            ln_splitting_wkb_exact(p, tol=bad)
-        with pytest.raises(ValueError, match="tol"):
-            splitting_report(p, tol=bad)
+        period_T(p, high)
 
 
 def test_action_small_eta_limit():
     # S -> 2/(3 eta^2) as eta -> 0.
-    p, level, tp = _natural_setup(0.02)
-    assert action_S(p, level, tp) * 1.5 * 0.02**2 == pytest.approx(1.0, rel=0.01)
+    p, level, _ = _natural_setup(0.02)
+    assert action_S(p, level) * 1.5 * 0.02**2 == pytest.approx(1.0, rel=0.01)
 
 
 def test_action_decreases_with_eta():
-    values = [action_S(*_natural_setup(e)[:2], _natural_setup(e)[2]) for e in (0.08, 0.10, 0.12)]
+    values = [action_S(*_natural_setup(e)[:2]) for e in (0.08, 0.10, 0.12)]
     assert values[0] > values[1] > values[2]
 
 
 def test_period_harmonic_limit():
     # Deep wells oscillate at the harmonic frequency: omega T -> 2 pi.
-    p, level, tp = _natural_setup(0.01)
-    omega_t = p.angular_frequency * period_T(p, level, tp)
+    p, level, _ = _natural_setup(0.01)
+    omega_t = p.angular_frequency * period_T(p, level)
     assert omega_t == pytest.approx(2.0 * math.pi, rel=0.01)
 
 
@@ -157,8 +192,8 @@ def test_period_carries_time_units():
         mass=4.0, angular_frequency=0.5, half_separation=math.sqrt(50.0), hbar=1.0
     )
     assert eta(physical) == pytest.approx(0.1, rel=1e-14)
-    t_natural = period_T(natural, perturbed_level(natural), turning_points(natural, perturbed_level(natural)))
-    t_physical = period_T(physical, perturbed_level(physical), turning_points(physical, perturbed_level(physical)))
+    t_natural = period_T(natural, perturbed_level(natural))
+    t_physical = period_T(physical, perturbed_level(physical))
     assert t_physical == pytest.approx(2.0 * t_natural, rel=1e-10)
 
 
@@ -261,7 +296,7 @@ def test_quadrature_route_agrees_with_asymptotic_route():
     }
     excess = {}
     for eta_value, ref in frozen.items():
-        ln_wkb, _ = ln_splitting_wkb_exact(from_eta(eta_value), tol=1e-12)
+        ln_wkb, _ = ln_splitting_wkb_exact(from_eta(eta_value))
         excess[eta_value] = math.exp(ln_wkb - ln_splitting_asymptotic(eta_value)) - 1.0
         assert excess[eta_value] == pytest.approx(ref, rel=1e-6)
         assert abs(excess[eta_value]) < 2e-3
@@ -325,5 +360,5 @@ def test_report_deterministic():
 
 
 def test_wkb_exact_error_estimate_is_small():
-    _, estimate = ln_splitting_wkb_exact(from_eta(0.1), tol=1e-10)
+    _, estimate = ln_splitting_wkb_exact(from_eta(0.1))
     assert 0.0 <= estimate < 1e-6
