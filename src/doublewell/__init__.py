@@ -9,10 +9,9 @@ independent perturbation-theory engine and a finite-difference eigensolver.
 Everything dimensionless depends only on eta = sqrt(hbar / (m w a^2)).
 """
 
-from . import model, perturbation, quadrature, semiclassics, spectral
+from . import model, perturbation, semiclassics, spectral
 from .model import *  # noqa: F403
 from .perturbation import *  # noqa: F403
-from .quadrature import *  # noqa: F403
 from .semiclassics import *  # noqa: F403
 from .spectral import *  # noqa: F403
 
@@ -21,7 +20,6 @@ __version__ = "0.1.0"
 __all__ = [
     *model.__all__,
     *perturbation.__all__,
-    *quadrature.__all__,
     *semiclassics.__all__,
     *spectral.__all__,
     "__version__",

@@ -49,7 +49,7 @@ class WellParameters:
     """Physical inputs: mass, oscillation frequency about a minimum,
     half-separation of the minima, and hbar.
 
-    All fields must be finite and strictly positive (see positive_real), and
+    All fields must be finite, strictly positive scalars (see positive_real), and
     so must the eta they imply in float64.  Validation happens once, here;
     downstream code assumes a valid instance.
     """
@@ -61,7 +61,10 @@ class WellParameters:
 
     def __post_init__(self) -> None:
         for name in ("mass", "angular_frequency", "half_separation", "hbar"):
-            object.__setattr__(self, name, positive_real(getattr(self, name), name))
+            value = positive_real(getattr(self, name), name)
+            if not isinstance(value, float):
+                raise ValueError(f"{name} must be a scalar, got an array of shape {value.shape}")
+            object.__setattr__(self, name, value)
         try:
             implied = eta(self)
         except (OverflowError, ZeroDivisionError):

@@ -34,6 +34,9 @@ __all__ = [
 #: differ by a factor 12 in the quartic term; see AnharmonicExpansion.
 MODES = ("standard", "taylor")
 
+#: oscillator states |0> .. |4> of the engine: all that y^3 and y^4 reach from |0>
+_STATES = 5
+
 
 @dataclass(frozen=True)
 class AnharmonicExpansion:
@@ -101,23 +104,20 @@ def epsilon_closed_form(eta_value):
     return (e2 / 16.0) * (25.0 - 189.0 * e2)
 
 
-def transition_amplitudes(expansion: AnharmonicExpansion, truncation: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Exact amplitudes <k| c3 y^3 |0> and <k| c4 y^4 |0> for k < truncation.
+def transition_amplitudes(expansion: AnharmonicExpansion) -> tuple[np.ndarray, np.ndarray]:
+    """Exact amplitudes <k| c3 y^3 |0> and <k| c4 y^4 |0> for k < _STATES.
 
     Built from the tridiagonal position matrix y[i, i+1] = lam sqrt(i+1)
     with lam = sqrt(hbar/(2 m w)); matrix powers of y evaluate the ladder
-    algebra exactly, so entries forbidden by parity are exactly zero and
-    the first columns are truncation-independent once truncation >= 5
-    (y^3 and y^4 connect |0> only to |k>, k <= 4).
+    algebra exactly, so entries forbidden by parity are exactly zero.
+    y^3 and y^4 connect |0> only to |k>, k <= 4, through states k <= 4, so
+    five states hold every nonzero amplitude and a larger basis adds only zeros.
     """
-    n = int(truncation)
-    if n < 5:
-        raise ValueError(f"truncation must be >= 5, got {truncation!r}")
     p = expansion.params
     lam = math.sqrt(p.hbar / (2.0 * p.mass * p.angular_frequency))
-    y = np.zeros((n, n))
-    off = lam * np.sqrt(np.arange(1, n))
-    idx = np.arange(1, n)
+    y = np.zeros((_STATES, _STATES))
+    idx = np.arange(1, _STATES)
+    off = lam * np.sqrt(idx)
     y[idx - 1, idx] = off
     y[idx, idx - 1] = off
     y2 = y @ y
@@ -126,17 +126,16 @@ def transition_amplitudes(expansion: AnharmonicExpansion, truncation: int = 16) 
     return expansion.cubic * y3[:, 0], expansion.quartic * y4[:, 0]
 
 
-def rs_engine(expansion: AnharmonicExpansion, order: int = 2, truncation: int = 16) -> float:
+def rs_engine(expansion: AnharmonicExpansion, order: int = 2) -> float:
     """Rayleigh-Schrodinger ground shift for the expansion, as a fraction of
     the unperturbed level hbar*w/2.
 
     order 1: <0|H'|0>.  order 2: adds sum_k |<k|H'|0>|^2 / (E0 - Ek) with
-    E0 - Ek = -k hbar w.  The sum is finite and exact; the result does not
-    change with truncation beyond the minimum of 5 states.
+    E0 - Ek = -k hbar w.  The sum is finite (k <= 4) and exact.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
-    amp_cubic, amp_quartic = transition_amplitudes(expansion, truncation)
+    amp_cubic, amp_quartic = transition_amplitudes(expansion)
     p = expansion.params
     hw = p.hbar * p.angular_frequency
     shift = amp_cubic[0] + amp_quartic[0]

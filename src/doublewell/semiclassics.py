@@ -18,7 +18,6 @@ import numpy as np
 
 from .model import WellParameters, eta as eta_of, positive_real
 from .perturbation import PerturbedLevel, epsilon_closed_form, validity_boundary
-from .quadrature import integrate
 
 __all__ = [
     "SQRT_E_OVER_PI",
@@ -159,15 +158,17 @@ def _elliptic_integrals(alpha, gamma):
     return gamma / 3.0 * bracket, 0.5 * big_k_complement / gamma
 
 
-def _quadrature_integrals(alpha, gamma, tol: float):
-    """The two integrals of _elliptic_integrals by Gauss-Legendre quadrature,
-    as (action, its estimate, period, its estimate): the independent
-    reference that validate and the tests hold the closed form to.
+def _quadrature_integrals(alpha, gamma):
+    """The two integrals of _elliptic_integrals by the 16- and 32-node
+    Gauss-Legendre rules, as (action, its estimate, period, its estimate):
+    the 32-node values and their relative change from 16 nodes.  This is the
+    independent reference that validate and the tests hold the closed form to.
 
     x = alpha sin^2(theta) absorbs the sqrt-type endpoint zero of the action
     integrand, and x = alpha cos^2(theta) + gamma sin^2(theta) the
     inverse-sqrt singularities of the period integrand, which leaves
-    int_0^{pi/2} dtheta / sqrt((gamma+x)(x+alpha)); both are smooth on [0, pi/2].
+    int_0^{pi/2} dtheta / sqrt((gamma+x)(x+alpha)); both are smooth on [0, pi/2],
+    so the rules converge geometrically and the change bounds the error.
     """
     al, ga = np.asarray(alpha)[..., None], np.asarray(gamma)[..., None]
     ga2 = ga * ga
@@ -183,9 +184,13 @@ def _quadrature_integrals(alpha, gamma, tol: float):
         x = al + (ga - al) * s * s
         return 1.0 / np.sqrt((ga + x) * (x + al))
 
-    action, action_estimate = integrate(action_integrand, 0.0, 0.5 * math.pi, tol=tol)
-    period, period_estimate = integrate(period_integrand, 0.0, 0.5 * math.pi, tol=tol)
-    return action, action_estimate, period, period_estimate
+    half = mid = 0.25 * math.pi  # [0, pi/2] as mid + half * [-1, 1]
+    rules = [np.polynomial.legendre.leggauss(n) for n in (16, 32)]
+    results = []
+    for f in (action_integrand, period_integrand):
+        coarse, fine = (half * (f(mid + half * x) * w).sum(axis=-1) for x, w in rules)
+        results += [fine, np.abs(fine - coarse) / np.maximum(np.abs(fine), np.finfo(float).tiny)]
+    return tuple(results)
 
 
 def _wkb_route(mass, angular_frequency, half_separation, hbar, epsilon=None) -> np.ndarray:

@@ -267,6 +267,15 @@ def test_flag_overrides_config(tmp_path):
         json.dumps({"tol": 1e-10}),
         json.dumps({"eta_min": None}),
         json.dumps({"eta_max": {}}),
+        # numeric keys take JSON numbers only, never strings or bools, and
+        # spacing takes a string only
+        json.dumps({"eta_min": "0.05"}),
+        json.dumps({"eta_max": "0.1"}),
+        json.dumps({"steps": "7"}),
+        json.dumps({"eta_min": True}),
+        json.dumps({"steps": True}),
+        json.dumps({"spacing": 3}),
+        pytest.param('{"steps": 1' + "0" * 400 + "}", id="steps-beyond-float64"),
     ],
 )
 def test_config_file_rejected(tmp_path, payload, capsys):
@@ -274,7 +283,10 @@ def test_config_file_rejected(tmp_path, payload, capsys):
     cfg.write_text(payload)
     out = tmp_path / "never.csv"
     assert main(["--config", str(cfg), "sweep", "--out", str(out)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if payload.startswith("{\""):
+        assert next(iter(json.loads(payload))) in err  # the message names the key
     assert not out.exists()
 
 
@@ -329,3 +341,20 @@ def test_corrupted_correction_factor_is_caught(monkeypatch, capsys):
     assert payload["passed"] is False
     by_name = {c["name"]: c for c in payload["checks"]}
     assert by_name["reference-table"]["status"] == "fail"
+
+
+def test_unconverged_quadrature_reference_fails_validate(monkeypatch, capsys):
+    # a reference that agrees with the closed form but whose 16 -> 32-node
+    # change is 2e-10 has not met the 1e-10 convergence guarantee
+    def unconverged(alpha, gamma):
+        action, period = semiclassics._elliptic_integrals(alpha, gamma)
+        estimate = np.full(np.shape(action), 2e-10)
+        return action, estimate, period, estimate
+
+    monkeypatch.setattr(semiclassics, "_quadrature_integrals", unconverged)
+    assert main(["validate", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False
+    by_name = {c["name"]: c for c in payload["checks"]}
+    assert by_name["quadrature-convergence"]["status"] == "fail"
+    assert "2.000e-10 > 1e-10" in by_name["quadrature-convergence"]["detail"]

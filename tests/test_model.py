@@ -112,10 +112,11 @@ def test_from_eta_rejects_nonpositive(bad):
         {"hbar": 0.0},
         {"mass": math.nan},
         {"angular_frequency": math.inf},
+        {"half_separation": np.array([10.0])},
     ],
 )
 def test_parameter_validation(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
         WellParameters(**kwargs)
 
 

@@ -83,7 +83,7 @@ def test_quadrature_matches_elliptic_closed_forms(eta_value):
     )
     assert action_S(p, level) == pytest.approx(action_closed, rel=1e-12)
 
-    action_ref, _, period_ref, _ = semiclassics._quadrature_integrals(np.array([al]), np.array([ga]), tol=1e-13)
+    action_ref, _, period_ref, _ = semiclassics._quadrature_integrals(np.array([al]), np.array([ga]))
     assert 8.0 * p.half_separation / p.angular_frequency * period_ref[0] == pytest.approx(period_closed, rel=1e-12)
     assert action_ref[0] == pytest.approx(integral_closed, rel=1e-12)
 
