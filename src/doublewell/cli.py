@@ -38,7 +38,9 @@ CSV_HEADER = (
     "ln_dE_instanton,delta,ratio_corrected,ratio_uncorrected"
 )
 _COLUMNS = CSV_HEADER.split(",")
-#: rows per array pass of `sweep`; bounds its working memory on large grids
+#: rows per array pass of `sweep`; bounds only the kernel's per-pass
+#: temporaries, since every block is kept until all are known to be finite
+#: (so that no partial file is written)
 _BLOCK_ROWS = 1024
 
 #: Reference values of the corrected ratio sqrt(e/pi)*delta(eta), printed to

@@ -15,11 +15,9 @@ import numpy as np
 
 __all__ = [
     "WellParameters",
-    "PotentialShape",
     "potential",
     "eta",
     "from_eta",
-    "shape",
 ]
 
 
@@ -28,15 +26,15 @@ def positive_real(value, name: str):
 
     The one validator for eta and the physical parameters.  A scalar (numpy
     scalars included) comes back as a Python float, an array as a float64
-    array whose every element passed.  Bools are flags, not numbers, and
-    are refused.
+    array whose every element passed.  Bools are flags and strings are text,
+    not numbers; both are refused.
     """
     raw = np.asarray(value)
-    if raw.dtype.kind in "bc":
+    if raw.dtype.kind in "bcSU":
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
         array = raw.astype(np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be a real number, got {value!r}") from None
     good = np.isfinite(array) & (array > 0.0)
     if not good.all():
@@ -44,12 +42,20 @@ def positive_real(value, name: str):
     return float(array) if array.ndim == 0 else array
 
 
+def positive_scalar(value, name: str) -> float:
+    """positive_real for a single number: an array is refused, naming `name`."""
+    number = positive_real(value, name)
+    if not isinstance(number, float):
+        raise ValueError(f"{name} must be a scalar, got an array of shape {number.shape}")
+    return number
+
+
 @dataclass(frozen=True)
 class WellParameters:
     """Physical inputs: mass, oscillation frequency about a minimum,
     half-separation of the minima, and hbar.
 
-    All fields must be finite, strictly positive scalars (see positive_real), and
+    All fields must be finite, strictly positive scalars (see positive_scalar), and
     so must the eta they imply in float64.  Validation happens once, here;
     downstream code assumes a valid instance.
     """
@@ -61,10 +67,7 @@ class WellParameters:
 
     def __post_init__(self) -> None:
         for name in ("mass", "angular_frequency", "half_separation", "hbar"):
-            value = positive_real(getattr(self, name), name)
-            if not isinstance(value, float):
-                raise ValueError(f"{name} must be a scalar, got an array of shape {value.shape}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, positive_scalar(getattr(self, name), name))
         try:
             implied = eta(self)
         except (OverflowError, ZeroDivisionError):
@@ -82,14 +85,6 @@ class WellParameters:
     def oscillator_length(self) -> float:
         """sqrt(hbar / (m w)), the length scale of the per-well ground state."""
         return math.sqrt(self.hbar / (self.mass * self.angular_frequency))
-
-
-@dataclass(frozen=True)
-class PotentialShape:
-    """Geometry summary: barrier height and the two minima."""
-
-    barrier_height: float
-    minima: tuple[float, float]
 
 
 def eta(p: WellParameters) -> float:
@@ -122,9 +117,3 @@ def potential(p: WellParameters, x):
     if v.ndim == 0:
         return float(v)
     return v
-
-
-def shape(p: WellParameters) -> PotentialShape:
-    """Barrier height and minima positions of the well described by p."""
-    a = p.half_separation
-    return PotentialShape(barrier_height=p.barrier_height, minima=(-a, a))

@@ -10,7 +10,7 @@ it from exact ladder-operator matrix elements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,23 +40,18 @@ _STATES = 5
 
 @dataclass(frozen=True)
 class AnharmonicExpansion:
-    """One well expanded about its minimum: c2 u^2 + c3 u^3 + c4 u^4, u = x - a.
+    """One well expanded about its minimum: (m w^2 / 2) u^2 + c3 u^3 + c4 u^4, u = x - a.
 
-    `params` is carried along because the engine needs the oscillator scale
-    hbar/(2 m w) and the level spacing hbar*w, which the bare coefficients
-    do not determine.
+    `params` fixes the harmonic term, the oscillator scale hbar/(2 m w) and
+    the level spacing hbar*w; only the two anharmonic coefficients are free.
     """
 
     params: WellParameters
-    harmonic: float
     cubic: float
     quartic: float
-    expansion_point: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.harmonic) and self.harmonic > 0.0):
-            raise ValueError(f"harmonic coefficient must be positive, got {self.harmonic!r}")
-        for name in ("cubic", "quartic", "expansion_point"):
+        for name in ("cubic", "quartic"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
@@ -69,7 +64,7 @@ class AnharmonicExpansion:
         """
         c2 = 0.5 * p.mass * p.angular_frequency**2
         a = p.half_separation
-        return cls(params=p, harmonic=c2, cubic=c2 / a, quartic=3.0 * c2 / (a * a), expansion_point=a)
+        return cls(params=p, cubic=c2 / a, quartic=3.0 * c2 / (a * a))
 
     @classmethod
     def taylor(cls, p: WellParameters) -> "AnharmonicExpansion":
@@ -77,23 +72,21 @@ class AnharmonicExpansion:
         giving cubic c2/a and quartic c2/(4 a^2)."""
         c2 = 0.5 * p.mass * p.angular_frequency**2
         a = p.half_separation
-        return cls(params=p, harmonic=c2, cubic=c2 / a, quartic=c2 / (4.0 * a * a), expansion_point=a)
+        return cls(params=p, cubic=c2 / a, quartic=c2 / (4.0 * a * a))
 
 
 @dataclass(frozen=True)
 class PerturbedLevel:
-    """Ground level of one well through second order in the anharmonicity.
-
-    energy = unperturbed * (1 + epsilon) by construction; below_barrier
-    records whether the level sits under the central barrier, which is the
-    same condition as eta^2 (1 + epsilon) < 1/4 and as the inner turning
-    point being real.
-    """
+    """Ground level of one well through second order in the anharmonicity:
+    the unperturbed level hbar*w/2 and its fractional shift epsilon."""
 
     unperturbed: float
     epsilon: float
-    energy: float
-    below_barrier: bool
+
+    @property
+    def energy(self) -> float:
+        """unperturbed * (1 + epsilon)."""
+        return self.unperturbed * (1.0 + self.epsilon)
 
 
 def epsilon_closed_form(eta_value):
@@ -150,46 +143,33 @@ def perturbed_level(p: WellParameters, mode: str = "standard") -> PerturbedLevel
     """Ground level of one well with the second-order anharmonic shift.
 
     mode "standard" evaluates the closed form; mode "taylor" runs the
-    engine on the direct-series coefficients.  The below-barrier flag is
-    always set from the resulting energy; callers that need the tunneling
-    picture must check it.
+    engine on the direct-series coefficients.  Below validity_boundary() the
+    standard level lies under the barrier; routes that need that guard it.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    et = eta_of(p)
     if mode == "standard":
-        eps = epsilon_closed_form(et)
+        eps = epsilon_closed_form(eta_of(p))
     else:
         eps = rs_engine(AnharmonicExpansion.taylor(p), order=2)
-    e0 = 0.5 * p.hbar * p.angular_frequency
-    return PerturbedLevel(
-        unperturbed=e0,
-        epsilon=eps,
-        energy=e0 * (1.0 + eps),
-        below_barrier=et * et * (1.0 + eps) < 0.25,
-    )
+    return PerturbedLevel(unperturbed=0.5 * p.hbar * p.angular_frequency, epsilon=eps)
 
 
 def epsilon_series_coefficients(mode: str = "standard") -> tuple[float, float]:
-    """Coefficients (A, B) of the engine's shift eps = A eta^2 + B eta^4.
+    """Coefficients (A, B) of the engine's shift eps = A eta^2 + B eta^4, read
+    by order from the engine at eta = 1, where each term equals its coefficient.
 
-    The second-order shift is an exact polynomial in eta^2 of degree 2 with
-    no constant term, so two sample points determine it; eta in {0.1, 0.2}
-    keeps the linear solve well conditioned (points much smaller than ~0.1
-    lose ~3 digits on the eta^4 coefficient to cancellation).
+    B is the quartic term's second-order part; A is the rest, first order plus
+    the cubic second order.  No cross term enters: the cubic term reaches only
+    odd states and the quartic only even ones.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     build = AnharmonicExpansion.standard if mode == "standard" else AnharmonicExpansion.taylor
-    samples = (0.1, 0.2)
-    rows = []
-    rhs = []
-    for et in samples:
-        e2 = et * et
-        rows.append((e2, e2 * e2))
-        rhs.append(rs_engine(build(from_eta(et)), order=2))
-    coeff = np.linalg.solve(np.array(rows), np.array(rhs))
-    return float(coeff[0]), float(coeff[1])
+    expansion = build(from_eta(1.0))
+    quartic_only = replace(expansion, cubic=0.0)
+    b = float(rs_engine(quartic_only, 2) - rs_engine(quartic_only, 1))
+    return float(rs_engine(expansion, 2)) - b, b
 
 
 def validity_boundary() -> float:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .model import WellParameters, eta as eta_of, potential
+from .model import WellParameters, eta as eta_of, positive_scalar, potential
 from .perturbation import perturbed_level
 from .semiclassics import _check_validity, turning_points
 
@@ -41,6 +41,15 @@ class ResolutionError(RuntimeError):
     """The requested splitting is smaller than the solver can certify."""
 
 
+def _whole(value, name: str, minimum: int) -> int:
+    """`value` as an int if it is a number (see positive_scalar) with a whole
+    value >= minimum, else ValueError naming `name`."""
+    number = positive_scalar(value, name)
+    if not number.is_integer() or number < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(number)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid on [-half_width, +half_width] with `points` nodes.
@@ -54,11 +63,8 @@ class GridSpec:
     points: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.half_width) and self.half_width > 0.0):
-            raise ValueError(f"half_width must be finite and positive, got {self.half_width!r}")
-        if int(self.points) != self.points or self.points < 201:
-            raise ValueError(f"points must be an integer >= 201, got {self.points!r}")
-        object.__setattr__(self, "points", int(self.points))
+        object.__setattr__(self, "half_width", positive_scalar(self.half_width, "half_width"))
+        object.__setattr__(self, "points", _whole(self.points, "points", 201))
 
     @property
     def spacing(self) -> float:
@@ -113,18 +119,22 @@ def _solve_grid(
     return w, floor
 
 
+def _outer_turning_point(p: WellParameters) -> float:
+    """Outer turning point gamma of the standard level, behind the one validity
+    guard: at or beyond the boundary there is no below-barrier doublet to box."""
+    _check_validity(eta_of(p))
+    return turning_points(p, perturbed_level(p)).gamma
+
+
 def _check_box(p: WellParameters, g: GridSpec, potential_fn) -> None:
     if potential_fn is not None:
         return
-    level = perturbed_level(p)
-    if level.below_barrier:
-        tp = turning_points(p, level)
-        margin = tp.gamma + 5.0 * p.oscillator_length
-        if g.half_width <= margin:
-            raise ValueError(
-                f"half_width {g.half_width!r} too small: need > outer turning point "
-                f"+ 5 oscillator lengths = {margin:.6g} for the doublet to decay"
-            )
+    margin = _outer_turning_point(p) + 5.0 * p.oscillator_length
+    if g.half_width <= margin:
+        raise ValueError(
+            f"half_width {g.half_width!r} too small: need > outer turning point "
+            f"+ 5 oscillator lengths = {margin:.6g} for the doublet to decay"
+        )
 
 
 def solve_spectrum(
@@ -139,17 +149,11 @@ def solve_spectrum(
     endpoints), Richardson-extrapolates the second-order scheme, and
     reports per-level and splitting error estimates.  `potential_fn`
     replaces the double well (for oracle self-tests against exactly
-    solvable potentials); the turning-point margin check applies only to
-    the double well itself.
+    solvable potentials); the validity guard and the turning-point margin
+    check apply only to the double well itself.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k!r}")
+    k = _whole(k, "k", 2)
     _check_box(p, grid, potential_fn)
-    return _richardson(p, grid, k, potential_fn)
-
-
-def _richardson(p: WellParameters, grid: GridSpec, k: int, potential_fn) -> SpectrumResult:
-    """solve_spectrum without its argument checks."""
     coarse, _ = _solve_grid(p, grid.half_width, grid.points, k, potential_fn)
     fine, floor = _solve_grid(p, grid.half_width, 2 * grid.points - 1, k, potential_fn)
     extrapolated = fine + (fine - coarse) / 3.0
@@ -175,7 +179,7 @@ def default_grid(p: WellParameters) -> GridSpec:
     the total.  The box clears _check_box's margin by one oscillator length.
     """
     s = p.oscillator_length
-    half_width = turning_points(p, perturbed_level(p)).gamma + 6.0 * s
+    half_width = _outer_turning_point(p) + 6.0 * s
     n = int(math.ceil(2.0 * half_width / (0.06 * s))) + 1
     if n % 2 == 0:
         n += 1
@@ -189,9 +193,7 @@ def exact_splitting(p: WellParameters) -> tuple[float, float]:
     in 64-bit arithmetic that limits the double well to eta of roughly 0.15
     and above, where the splitting is ~1e-12 of the ground energy or larger.
     """
-    _check_validity(eta_of(p))
-    # the default grid passes the box check by construction
-    result = _richardson(p, default_grid(p), 2, None)
+    result = solve_spectrum(p, default_grid(p), k=2)
     if not result.splitting > 10.0 * result.splitting_estimate:
         raise ResolutionError(
             "splitting below numerical resolution: "
@@ -205,6 +207,7 @@ def doublet_parities(p: WellParameters, grid: GridSpec | None = None, k: int = 4
     """Overlap of each of the lowest k eigenvectors with its mirror image:
     +1 for even states, -1 for odd ones (exact alternation for a symmetric
     well on a symmetric grid)."""
+    k = _whole(k, "k", 2)
     if grid is None:
         grid = default_grid(p)
     else:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from doublewell import WellParameters, eta, from_eta, potential, shape
+from doublewell import WellParameters, eta, from_eta, potential
 
 
 def test_potential_vanishes_at_minima():
@@ -21,8 +21,7 @@ def test_potential_vanishes_at_minima():
 def test_barrier_height_at_origin():
     p = WellParameters(mass=2.0, angular_frequency=1.5, half_separation=3.0, hbar=1.0)
     assert potential(p, 0.0) == pytest.approx(2.0 * 1.5**2 * 3.0**2 / 8.0, rel=1e-15)
-    assert shape(p).barrier_height == pytest.approx(potential(p, 0.0), rel=1e-15)
-    assert shape(p).minima == (-3.0, 3.0)
+    assert p.barrier_height == pytest.approx(potential(p, 0.0), rel=1e-15)
 
 
 def test_potential_direct_value_and_expanded_polynomial():
@@ -96,7 +95,14 @@ def test_from_eta_round_trip(value: float):
     assert eta(from_eta(value)) == pytest.approx(value, rel=1e-14)
 
 
-@pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf, None, "x", True])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        0.0, -0.1, math.nan, math.inf, None, "x", True,
+        pytest.param("0.1", id="numeric-string"),
+        pytest.param(10**400, id="int-beyond-float64"),
+    ],
+)
 def test_from_eta_rejects_nonpositive(bad):
     with pytest.raises(ValueError):
         from_eta(bad)

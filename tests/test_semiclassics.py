@@ -131,7 +131,7 @@ def test_closed_form_matches_mpmath_oracle():
 def test_turning_points_for_unshifted_level():
     # With epsilon forced to zero at eta = 0.1, the radicands are 1 -+ 0.2.
     p = from_eta(0.1)
-    level = PerturbedLevel(unperturbed=0.5, epsilon=0.0, energy=0.5, below_barrier=True)
+    level = PerturbedLevel(unperturbed=0.5, epsilon=0.0)
     tp = turning_points(p, level)
     assert tp.alpha == pytest.approx(10.0 * math.sqrt(0.8), rel=1e-15)
     assert tp.gamma == pytest.approx(10.0 * math.sqrt(1.2), rel=1e-15)
@@ -157,7 +157,7 @@ def test_turning_points_ordering():
 
 def test_above_barrier_level_rejected():
     p = from_eta(0.1)
-    high = PerturbedLevel(unperturbed=0.5, epsilon=30.0, energy=15.5, below_barrier=False)
+    high = PerturbedLevel(unperturbed=0.5, epsilon=30.0)
     with pytest.raises(ValueError, match="barrier"):
         turning_points(p, high)
     with pytest.raises(ValueError, match="barrier"):

@@ -114,13 +114,29 @@ def test_exact_splitting_domain_guard():
         exact_splitting(from_eta(0.65))
 
 
+@pytest.mark.parametrize("eta_value", [0.65, 0.7])
+def test_every_eigensolver_entry_point_refuses_beyond_validity_boundary(eta_value):
+    # beyond the boundary 1 + eps < 0: the one guard names that, before any
+    # turning point takes the square root of a negative number
+    p = from_eta(eta_value)
+    grid = GridSpec(20.0, 401)
+    calls = [
+        lambda: solve_spectrum(p, grid),
+        lambda: doublet_parities(p),
+        lambda: doublet_parities(p, grid),
+        lambda: exact_splitting(p),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="validity boundary"):
+            call()
+
+
 def test_grid_spec_validation():
-    with pytest.raises(ValueError, match="points"):
-        GridSpec(10.0, 200)
-    with pytest.raises(ValueError, match="points"):
-        GridSpec(10.0, 301.5)
-    for bad_width in (0.0, -2.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="half_width"):
+    for bad_points in (200, 301.5, math.inf, math.nan, None, "301"):
+        with pytest.raises(ValueError, match="^points "):
+            GridSpec(10.0, bad_points)
+    for bad_width in (0.0, -2.0, math.inf, math.nan, None, "10"):
+        with pytest.raises(ValueError, match="^half_width "):
             GridSpec(bad_width, 301)
     g = GridSpec(10.0, 301.0)
     assert g.points == 301 and isinstance(g.points, int)
@@ -134,8 +150,12 @@ def test_box_must_enclose_outer_turning_point():
 
 
 def test_level_count_validation():
-    with pytest.raises(ValueError, match="k"):
-        solve_spectrum(from_eta(0.2), GridSpec(12.0, 301), k=1)
+    p = from_eta(0.2)
+    for bad_k in (1, 0, 2.5, math.inf, None):
+        with pytest.raises(ValueError, match="^k "):
+            solve_spectrum(p, GridSpec(12.0, 301), k=bad_k)
+        with pytest.raises(ValueError, match="^k "):
+            doublet_parities(p, k=bad_k)
 
 
 def test_splitting_insensitive_to_box_size():
