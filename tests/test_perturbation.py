@@ -150,6 +150,17 @@ def test_perturbed_level_small_eta_is_harmonic():
     assert level.energy == pytest.approx(0.5, rel=1e-11)
 
 
+@given(value=st.floats(min_value=0.01, max_value=0.60))
+def test_below_barrier_flag_matches_energy_comparison(value: float):
+    # the level carries no below-barrier flag any more; the comparison callers
+    # make in its place, E < V(0), agrees with the dimensionless criterion
+    # 4 eta^2 (1 + eps) < 1, since E / V(0) = 4 eta^2 (1 + eps)
+    p = from_eta(value)
+    level = perturbed_level(p)
+    criterion = 4.0 * value * value * (1.0 + level.epsilon) < 1.0
+    assert (level.energy < p.barrier_height) == criterion
+
+
 @given(value=st.floats(min_value=0.005, max_value=0.60))
 def test_below_barrier_throughout_working_range(value: float):
     # below the validity boundary the standard level always sits under the barrier
