@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import semiclassics, spectral
-from .model import WellParameters, eta as eta_of, from_eta, potential
+from .model import WellParameters, eta as eta_of, from_eta, positive_scalar, potential, whole_number
 from .perturbation import (
     AnharmonicExpansion,
     epsilon_closed_form,
@@ -76,12 +76,12 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         for name in ("eta_min", "eta_max"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
+            object.__setattr__(self, name, positive_scalar(getattr(self, name), name))
         if self.spacing not in ("linear", "log"):
             raise ValueError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
-        object.__setattr__(self, "steps", _whole(self.steps, "steps", 2))
+        object.__setattr__(self, "steps", whole_number(self.steps, "steps", 2))
         boundary = validity_boundary()
-        if not (0.0 < self.eta_min < self.eta_max < boundary):
+        if not self.eta_min < self.eta_max < boundary:
             raise ValueError(
                 f"need 0 < eta_min < eta_max < {boundary:.6f} (validity boundary), "
                 f"got eta_min={self.eta_min!r}, eta_max={self.eta_max!r}"
@@ -91,26 +91,6 @@ class SweepSpec:
         if self.spacing == "linear":
             return np.linspace(self.eta_min, self.eta_max, self.steps)
         return np.geomspace(self.eta_min, self.eta_max, self.steps)
-
-
-def _real(value, name: str) -> float:
-    """`value` as a float if it is a JSON number (int or float, never bool or
-    string), else ValueError naming `name`: the one typing rule for numeric
-    options, whose config values may be any JSON."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:  # an int beyond float64
-            pass
-    raise ValueError(f"{name} must be a number, got {value!r}")
-
-
-def _whole(value, name: str, minimum: int) -> int:
-    """`value` as an int if it is a number (see _real) with a whole value >= minimum, else ValueError."""
-    number = _real(value, name)
-    if not number.is_integer() or number < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(number)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,12 +182,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         steps=_effective(args, "steps"),
         spacing=_effective(args, "spacing"),
     )
-    _whole(_effective(args, "jobs"), "jobs", 1)
-    # grid order is ascending eta by construction; natural units, a = 1/eta
+    whole_number(_effective(args, "jobs"), "jobs", 1)
+    # grid order is ascending eta by construction
     grid = sweep.grid()
     blocks = []
     for first in range(0, len(grid), _BLOCK_ROWS):
-        block = semiclassics.splitting_table(1.0, 1.0, 1.0 / grid[first : first + _BLOCK_ROWS], 1.0)
+        block = semiclassics.splitting_table(grid[first : first + _BLOCK_ROWS])
         bad = np.argwhere(~np.isfinite(block))
         if len(bad):
             raise ValueError(f"column {_COLUMNS[bad[0][1]]} is not finite")
@@ -300,8 +280,8 @@ def _validation_checks() -> list[dict]:
 
     # the closed-form action and period integrals against their quadrature
     # reference, in units of the reference's estimate plus the rounding bound
-    etas = np.array([0.02, 0.08, 0.1, 0.12, 0.15, 0.3, 0.5])
-    alpha, gamma = semiclassics._turning_points(1.0 / etas, etas, epsilon_closed_form(etas))
+    table = semiclassics.splitting_table(np.array([0.02, 0.08, 0.1, 0.12, 0.15, 0.3, 0.5]))
+    alpha, gamma = table[:, 2], table[:, 3]
     s_ref, s_est, t_ref, t_est = semiclassics._quadrature_integrals(alpha, gamma)
     s_closed, t_closed = semiclassics._elliptic_integrals(alpha, gamma)
     s_miss, t_miss = (

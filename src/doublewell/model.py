@@ -21,33 +21,57 @@ __all__ = [
 ]
 
 
-def positive_real(value, name: str):
-    """`value` as finite, strictly positive float64, else ValueError naming `name`.
-
-    The one validator for eta and the physical parameters.  A scalar (numpy
-    scalars included) comes back as a Python float, an array as a float64
-    array whose every element passed.  Bools are flags and strings are text,
-    not numbers; both are refused.
+def finite_real(value, name: str):
+    """`value` as finite float64, else ValueError naming `name`: the one
+    conversion every number check goes through.  A scalar (numpy scalars
+    included) comes back as a Python float, an array as float64.  Only integer
+    and real dtypes count, so bools, strings, complex numbers and whatever
+    numpy holds only as an object (None, a dict, an int beyond float64) are
+    refused as given.
     """
     raw = np.asarray(value)
-    if raw.dtype.kind in "bcSU":
+    if raw.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        array = raw.astype(np.float64)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be a real number, got {value!r}") from None
-    good = np.isfinite(array) & (array > 0.0)
-    if not good.all():
-        raise ValueError(f"{name} must be finite and positive, got {float(array[~good].flat[0])!r}")
+    array = raw.astype(np.float64)
+    finite = np.isfinite(array)
+    if not finite.all():
+        raise ValueError(f"{name} must be finite, got {float(array[~finite].flat[0])!r}")
     return float(array) if array.ndim == 0 else array
 
 
-def positive_scalar(value, name: str) -> float:
-    """positive_real for a single number: an array is refused, naming `name`."""
-    number = positive_real(value, name)
+def finite_scalar(value, name: str) -> float:
+    """finite_real for a single number: an array is refused, naming `name`."""
+    number = finite_real(value, name)
     if not isinstance(number, float):
         raise ValueError(f"{name} must be a scalar, got an array of shape {number.shape}")
     return number
+
+
+def _positive(number, name: str):
+    """A finite_real result if its every element is > 0, else ValueError naming `name`."""
+    # a float compares directly: np.all costs microseconds per call
+    if not (number > 0.0 if isinstance(number, float) else (number > 0.0).all()):
+        raise ValueError(f"{name} must be finite and positive, got {float(np.min(number))!r}")
+    return number
+
+
+def positive_real(value, name: str):
+    """finite_real, strictly positive: the one validator for eta (arrays
+    elementwise) and the physical parameters."""
+    return _positive(finite_real(value, name), name)
+
+
+def positive_scalar(value, name: str) -> float:
+    """positive_real for a single number."""
+    return _positive(finite_scalar(value, name), name)
+
+
+def whole_number(value, name: str, minimum: int) -> int:
+    """finite_scalar with a whole value >= minimum, as an int, else ValueError naming `name`."""
+    number = finite_scalar(value, name)
+    if not number.is_integer() or number < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(number)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import WellParameters, eta as eta_of, from_eta, positive_real
+from .model import WellParameters, eta as eta_of, finite_scalar, from_eta, positive_real
 
 __all__ = [
     "AnharmonicExpansion",
@@ -51,9 +51,10 @@ class AnharmonicExpansion:
     quartic: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.params, WellParameters):
+            raise ValueError(f"params must be a WellParameters, got {self.params!r}")
         for name in ("cubic", "quartic"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, finite_scalar(getattr(self, name), name))
 
     @classmethod
     def standard(cls, p: WellParameters) -> "AnharmonicExpansion":
@@ -135,8 +136,8 @@ def rs_engine(expansion: AnharmonicExpansion, order: int = 2) -> float:
     if order == 2:
         k = np.arange(1, len(amp_cubic))
         amps = amp_cubic[1:] + amp_quartic[1:]
-        shift -= float(np.sum(amps * amps / (k * hw)))
-    return shift / (0.5 * hw)
+        shift -= np.sum(amps * amps / (k * hw))
+    return float(shift / (0.5 * hw))
 
 
 def perturbed_level(p: WellParameters, mode: str = "standard") -> PerturbedLevel:
@@ -168,8 +169,8 @@ def epsilon_series_coefficients(mode: str = "standard") -> tuple[float, float]:
     build = AnharmonicExpansion.standard if mode == "standard" else AnharmonicExpansion.taylor
     expansion = build(from_eta(1.0))
     quartic_only = replace(expansion, cubic=0.0)
-    b = float(rs_engine(quartic_only, 2) - rs_engine(quartic_only, 1))
-    return float(rs_engine(expansion, 2)) - b, b
+    b = rs_engine(quartic_only, 2) - rs_engine(quartic_only, 1)
+    return rs_engine(expansion, 2) - b, b
 
 
 def validity_boundary() -> float:

@@ -100,6 +100,8 @@ def _plain(value):
 
 def _turning_points(a, eta_value, epsilon):
     """Inner and outer turning points, elementwise over broadcastable inputs."""
+    if not np.all(1.0 + epsilon > 0.0):
+        raise ValueError("energy at or below the well bottom (1 + epsilon <= 0); no level in the well")
     root = 2.0 * eta_value * np.sqrt(1.0 + epsilon)
     if not np.all(root < 1.0):
         raise ValueError("energy at or above barrier; no tunneling regime")
@@ -194,9 +196,10 @@ def _quadrature_integrals(alpha, gamma):
 
 
 def _wkb_route(mass, angular_frequency, half_separation, hbar, epsilon=None) -> np.ndarray:
-    """splitting_table, with the level shift taken from `epsilon` if given: guards
-    the validity boundary, then takes S = (m w / (hbar a)) * (action integral) and
-    T = (8 a / w) * (period integral) in closed form (see _elliptic_integrals)."""
+    """The SplittingReport columns over broadcastable well fields, with the level
+    shift taken from `epsilon` if given: guards the validity boundary, then takes
+    S = (m w / (hbar a)) * (action integral) and T = (8 a / w) * (period integral)
+    in closed form (see _elliptic_integrals)."""
     # numpy arithmetic from the start, so one row and a block round alike
     mass, angular_frequency, half_separation, hbar = (
         np.asarray(v, dtype=np.float64) for v in (mass, angular_frequency, half_separation, hbar)
@@ -208,8 +211,8 @@ def _wkb_route(mass, angular_frequency, half_separation, hbar, epsilon=None) -> 
     action, period = _elliptic_integrals(alpha, gamma)
     action = mass * angular_frequency / (hbar * half_separation) * action
     omega_t = 8.0 * half_separation * period
-    # looked up at call time, so a replaced delta_factor reaches the report
-    delta = np.broadcast_to(delta_factor(et), et.shape)
+    ln_delta, ln_instanton = ln_delta_factor(et), ln_splitting_instanton(et)
+    delta = np.exp(ln_delta)
     return np.column_stack([
         et,
         np.broadcast_to(eps, et.shape),
@@ -219,8 +222,9 @@ def _wkb_route(mass, angular_frequency, half_separation, hbar, epsilon=None) -> 
         omega_t,
         # dE = (2 hbar / T) e^{-S}
         math.log(2.0) - np.log(omega_t) - action,
-        ln_splitting_asymptotic(et),
-        ln_splitting_instanton(et),
+        # dE_asym = dE_instanton sqrt(e/pi) delta, as in ln_splitting_asymptotic
+        ln_instanton + math.log(SQRT_E_OVER_PI) + ln_delta,
+        ln_instanton,
         delta,
         SQRT_E_OVER_PI * delta,
         np.full(et.shape, SQRT_E_OVER_PI),
@@ -315,11 +319,11 @@ def ratio_wkb_instanton(eta_value):
     return SQRT_E_OVER_PI * delta_factor(eta_value)
 
 
-def splitting_table(mass, angular_frequency, half_separation, hbar) -> np.ndarray:
-    """All three routes over numpy-broadcastable well fields, as a float
-    array of shape (rows, 12) whose columns are the SplittingReport fields
-    in order.  Row i depends only on the fields of row i."""
-    return _wkb_route(mass, angular_frequency, half_separation, hbar)
+def splitting_table(eta_value) -> np.ndarray:
+    """All three routes over an eta array in natural units (m = w = hbar = 1,
+    a = 1/eta), as a float array of shape (rows, 12) whose columns are the
+    SplittingReport fields in order.  Row i depends only on eta[i]."""
+    return _wkb_route(1.0, 1.0, 1.0 / positive_real(eta_value, "eta"), 1.0)
 
 
 def splitting_report(p: WellParameters) -> SplittingReport:

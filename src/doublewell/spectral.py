@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .model import WellParameters, eta as eta_of, positive_scalar, potential
+from .model import WellParameters, eta as eta_of, positive_scalar, potential, whole_number
 from .perturbation import perturbed_level
 from .semiclassics import _check_validity, turning_points
 
@@ -41,15 +41,6 @@ class ResolutionError(RuntimeError):
     """The requested splitting is smaller than the solver can certify."""
 
 
-def _whole(value, name: str, minimum: int) -> int:
-    """`value` as an int if it is a number (see positive_scalar) with a whole
-    value >= minimum, else ValueError naming `name`."""
-    number = positive_scalar(value, name)
-    if not number.is_integer() or number < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(number)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid on [-half_width, +half_width] with `points` nodes.
@@ -64,7 +55,7 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "half_width", positive_scalar(self.half_width, "half_width"))
-        object.__setattr__(self, "points", _whole(self.points, "points", 201))
+        object.__setattr__(self, "points", whole_number(self.points, "points", 201))
 
     @property
     def spacing(self) -> float:
@@ -85,7 +76,6 @@ class SpectrumResult:
     eigenvalue_estimates: tuple[float, ...]
     splitting: float
     splitting_estimate: float
-    grid: GridSpec
 
     def __post_init__(self) -> None:
         # Strict ordering is only meaningful beyond the error bars: a
@@ -152,7 +142,7 @@ def solve_spectrum(
     solvable potentials); the validity guard and the turning-point margin
     check apply only to the double well itself.
     """
-    k = _whole(k, "k", 2)
+    k = whole_number(k, "k", 2)
     _check_box(p, grid, potential_fn)
     coarse, _ = _solve_grid(p, grid.half_width, grid.points, k, potential_fn)
     fine, floor = _solve_grid(p, grid.half_width, 2 * grid.points - 1, k, potential_fn)
@@ -165,7 +155,6 @@ def solve_spectrum(
         eigenvalue_estimates=tuple(float(e) for e in level_estimates),
         splitting=float(d_fine + (d_fine - d_coarse) / 3.0),
         splitting_estimate=float(abs(d_fine - d_coarse) / 3.0 + floor),
-        grid=grid,
     )
 
 
@@ -207,7 +196,7 @@ def doublet_parities(p: WellParameters, grid: GridSpec | None = None, k: int = 4
     """Overlap of each of the lowest k eigenvectors with its mirror image:
     +1 for even states, -1 for odd ones (exact alternation for a symmetric
     well on a symmetric grid)."""
-    k = _whole(k, "k", 2)
+    k = whole_number(k, "k", 2)
     if grid is None:
         grid = default_grid(p)
     else:

@@ -181,10 +181,10 @@ def test_sweep_jobs_starts_no_thread(tmp_path, monkeypatch):
 
 
 def test_sweep_refuses_nonfinite_column(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(semiclassics, "delta_factor", lambda eta_value: math.nan)
+    monkeypatch.setattr(semiclassics, "ln_delta_factor", lambda eta_value: np.full_like(eta_value, math.nan))
     out = tmp_path / "nan.csv"
     assert main(["sweep", "--steps", "5", "--out", str(out)]) == 2
-    assert "column delta is not finite" in capsys.readouterr().err
+    assert "column ln_dE_asym is not finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -229,6 +229,8 @@ def test_sweep_log_spacing(tmp_path):
         ["sweep", "--eta-min", "0.2", "--eta-max", "0.1", "--out", "ignored.csv"],
         ["sweep", "--steps", "1", "--out", "ignored.csv"],
         ["sweep", "--jobs", "0", "--out", "ignored.csv"],
+        ["sweep", "--eta-min", "0", "--out", "ignored.csv"],
+        ["sweep", "--eta-min", "-0.1", "--out", "ignored.csv"],
         ["sweep", "--out", "/nonexistent-dir/out.csv"],
     ],
 )
@@ -276,6 +278,12 @@ def test_flag_overrides_config(tmp_path):
         json.dumps({"steps": True}),
         json.dumps({"spacing": 3}),
         pytest.param('{"steps": 1' + "0" * 400 + "}", id="steps-beyond-float64"),
+        # every numeric key goes through the model's checks
+        json.dumps({"eta_min": 0}),
+        json.dumps({"eta_min": -0.05}),
+        json.dumps({"eta_min": [0.05]}),
+        json.dumps({"steps": 0}),
+        json.dumps({"jobs": 0}),
     ],
 )
 def test_config_file_rejected(tmp_path, payload, capsys):
@@ -288,6 +296,13 @@ def test_config_file_rejected(tmp_path, payload, capsys):
     if payload.startswith("{\""):
         assert next(iter(json.loads(payload))) in err  # the message names the key
     assert not out.exists()
+
+
+def test_config_null_is_named_as_given(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eta_min": None}))
+    assert main(["--config", str(cfg), "sweep", "--out", str(tmp_path / "never.csv")]) == 2
+    assert "eta_min must be a real number, got None" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path, capsys):

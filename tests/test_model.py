@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,14 @@ def test_from_eta_round_trip(value: float):
 )
 def test_from_eta_rejects_nonpositive(bad):
     with pytest.raises(ValueError):
+        from_eta(bad)
+
+
+@pytest.mark.parametrize("bad", [None, {}, "0.1", 1 + 2j])
+def test_non_numbers_are_named_as_given(bad):
+    # a value numpy can hold only as an object, or as text or a complex
+    # number, is refused as given, never after turning into nan
+    with pytest.raises(ValueError, match=f"^eta must be a real number, got {re.escape(repr(bad))}$"):
         from_eta(bad)
 
 

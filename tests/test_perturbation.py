@@ -145,6 +145,12 @@ def test_perturbed_level_taylor_mode():
         perturbed_level(from_eta(0.15), mode="other")
 
 
+def test_engine_and_taylor_level_return_plain_floats():
+    # a numpy scalar would leak into the level's repr as np.float64(...)
+    assert type(rs_engine(AnharmonicExpansion.standard(from_eta(0.15)))) is float
+    assert type(perturbed_level(from_eta(0.15), mode="taylor").epsilon) is float
+
+
 def test_perturbed_level_small_eta_is_harmonic():
     level = perturbed_level(from_eta(1e-6))
     assert level.energy == pytest.approx(0.5, rel=1e-11)
@@ -208,6 +214,12 @@ def test_expansion_validation():
         AnharmonicExpansion(params=p, cubic=1.0, quartic=math.inf)
     with pytest.raises(ValueError, match="cubic"):
         AnharmonicExpansion(params=p, cubic=math.nan, quartic=1.0)
+    # numbers only, one each: not text, not a sequence, not a flag
+    for bad in ("1", [1.0], True):
+        with pytest.raises(ValueError, match="^cubic "):
+            AnharmonicExpansion(params=p, cubic=bad, quartic=1.0)
+    with pytest.raises(ValueError, match="^params "):
+        AnharmonicExpansion(params=None, cubic=1.0, quartic=1.0)
 
 
 def test_expansion_mode_quartic_ratio():

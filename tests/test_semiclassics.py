@@ -100,7 +100,7 @@ def test_closed_form_matches_mpmath_oracle():
         np.linspace(0.6, 0.6037523990662, 30),
     ])
     half_separation = 1.0 / etas
-    table = splitting_table(1.0, 1.0, half_separation, 1.0)
+    table = splitting_table(etas)
     integrals = semiclassics._elliptic_integrals(table[:, 2], table[:, 3])
 
     def exact_integrals(al, ga):
@@ -164,6 +164,28 @@ def test_above_barrier_level_rejected():
         action_S(p, high)
     with pytest.raises(ValueError, match="barrier"):
         period_T(p, high)
+
+
+@pytest.mark.parametrize("epsilon", [-2.0, -1.0, math.nan])
+def test_level_at_or_below_well_bottom_rejected(epsilon):
+    # 1 + epsilon <= 0 (or undefined) is refused by name, before any square root
+    p = from_eta(0.1)
+    low = PerturbedLevel(unperturbed=0.5, epsilon=epsilon)
+    with pytest.raises(ValueError, match="well bottom"):
+        turning_points(p, low)
+    with pytest.raises(ValueError, match="well bottom"):
+        action_S(p, low)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.array([10.0, -10.0]), np.array([0.1, math.nan]), 0.0, None, "0.1", True, 0.1 + 0.0j],
+)
+def test_splitting_table_validates_eta(bad):
+    # the array entry point checks eta like every other one, instead of
+    # returning rows with a negative eta and NaN columns
+    with pytest.raises(ValueError, match="^eta "):
+        splitting_table(bad)
 
 
 def test_action_small_eta_limit():

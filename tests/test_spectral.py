@@ -138,6 +138,8 @@ def test_grid_spec_validation():
     for bad_width in (0.0, -2.0, math.inf, math.nan, None, "10"):
         with pytest.raises(ValueError, match="^half_width "):
             GridSpec(bad_width, 301)
+    with pytest.raises(ValueError, match="got None"):
+        GridSpec(None, 301)
     g = GridSpec(10.0, 301.0)
     assert g.points == 301 and isinstance(g.points, int)
     assert g.spacing == pytest.approx(20.0 / 300.0)
@@ -181,7 +183,6 @@ def test_result_rejects_inversion_beyond_error_bars():
             eigenvalue_estimates=(1e-12, 1e-12),
             splitting=-0.5,
             splitting_estimate=1e-12,
-            grid=GridSpec(10.0, 301),
         )
     # A doublet inverted by less than its error bars is the guard's
     # problem, not the constructor's.
@@ -190,7 +191,6 @@ def test_result_rejects_inversion_beyond_error_bars():
         eigenvalue_estimates=(1e-12, 1e-12),
         splitting=-1e-15,
         splitting_estimate=1e-12,
-        grid=GridSpec(10.0, 301),
     )
 
 
