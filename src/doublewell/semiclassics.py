@@ -47,6 +47,9 @@ _ETA_BOUNDARY = validity_boundary()
 #: relative rounding bound of the closed-form S and w T (held to an mpmath
 #: oracle in the tests), so ln dE = ln 2 - ln(w T) - S is good to _ROUNDING (1 + S)
 _ROUNDING = 8.0 * float(np.finfo(float).eps)
+#: the action integral is at most (pi/4) alpha^2 gamma <= (pi/4) a^3, so the
+#: WKB route is finite in float64 for every half-separation a up to this bound
+_A_MAX = float(np.finfo(float).max) ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,7 @@ class SplittingReport:
 def _check_validity(eta_value) -> None:
     """The one guard for every route that needs a below-barrier doublet;
     eta_value may be an array, and the largest element is reported."""
-    worst = float(np.max(eta_value))
+    worst = float(np.max(eta_value, initial=0.0))
     if worst >= _ETA_BOUNDARY:
         raise ValueError(
             f"eta={worst!r} is at or beyond the validity boundary "
@@ -204,6 +207,14 @@ def _wkb_route(mass, angular_frequency, half_separation, hbar, epsilon=None) -> 
     mass, angular_frequency, half_separation, hbar = (
         np.asarray(v, dtype=np.float64) for v in (mass, angular_frequency, half_separation, hbar)
     )
+    far = half_separation > _A_MAX
+    if far.any():
+        # the eta given, in a form that stays finite where a^2 overflows
+        given = np.sqrt(hbar / (mass * angular_frequency)) / half_separation
+        raise ValueError(
+            f"eta={float(np.min(given[far]))!r} is beyond the WKB route's float64 range: "
+            f"its action integral, which scales as a^3, overflows for a > {_A_MAX:.4g}"
+        )
     et = np.atleast_1d(np.sqrt(hbar / (mass * angular_frequency * half_separation**2)))
     _check_validity(et)
     eps = epsilon_closed_form(et) if epsilon is None else epsilon
@@ -323,7 +334,10 @@ def splitting_table(eta_value) -> np.ndarray:
     """All three routes over an eta array in natural units (m = w = hbar = 1,
     a = 1/eta), as a float array of shape (rows, 12) whose columns are the
     SplittingReport fields in order.  Row i depends only on eta[i]."""
-    return _wkb_route(1.0, 1.0, 1.0 / positive_real(eta_value, "eta"), 1.0)
+    eta_value = positive_real(eta_value, "eta")
+    if np.ndim(eta_value) > 1:
+        raise ValueError(f"eta must be a scalar or a 1-D array, got an array of shape {eta_value.shape}")
+    return _wkb_route(1.0, 1.0, 1.0 / eta_value, 1.0)
 
 
 def splitting_report(p: WellParameters) -> SplittingReport:

@@ -116,34 +116,39 @@ def _outer_turning_point(p: WellParameters) -> float:
     return turning_points(p, perturbed_level(p)).gamma
 
 
-def _check_box(p: WellParameters, g: GridSpec, potential_fn) -> None:
-    if potential_fn is not None:
-        return
-    margin = _outer_turning_point(p) + 5.0 * p.oscillator_length
-    if g.half_width <= margin:
-        raise ValueError(
-            f"half_width {g.half_width!r} too small: need > outer turning point "
-            f"+ 5 oscillator lengths = {margin:.6g} for the doublet to decay"
-        )
+def _grid_for(p: WellParameters, grid: GridSpec | None, potential_fn) -> GridSpec:
+    """The one grid rule of every entry point: None means default_grid(p), which
+    boxes the doublet by construction; a given grid must clear the outer turning
+    point by 5 oscillator lengths, unless `potential_fn` replaces the well."""
+    if grid is None:
+        return default_grid(p)
+    if potential_fn is None:
+        margin = _outer_turning_point(p) + 5.0 * p.oscillator_length
+        if grid.half_width <= margin:
+            raise ValueError(
+                f"half_width {grid.half_width!r} too small: need > outer turning point "
+                f"+ 5 oscillator lengths = {margin:.6g} for the doublet to decay"
+            )
+    return grid
 
 
 def solve_spectrum(
     p: WellParameters,
-    grid: GridSpec,
+    grid: GridSpec | None = None,
     k: int = 4,
     potential_fn: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> SpectrumResult:
     """Lowest k levels of -hbar^2/(2m) psi'' + V psi = E psi with Dirichlet walls.
 
-    Solves on `grid` and on its once-refined companion (2N-1 points, same
-    endpoints), Richardson-extrapolates the second-order scheme, and
-    reports per-level and splitting error estimates.  `potential_fn`
-    replaces the double well (for oracle self-tests against exactly
-    solvable potentials); the validity guard and the turning-point margin
-    check apply only to the double well itself.
+    Solves on `grid` (default_grid(p) if None) and on its once-refined
+    companion (2N-1 points, same endpoints), Richardson-extrapolates the
+    second-order scheme, and reports per-level and splitting error
+    estimates.  `potential_fn` replaces the double well (for oracle
+    self-tests against exactly solvable potentials); the turning-point
+    margin check then does not apply to a given grid.
     """
     k = whole_number(k, "k", 2)
-    _check_box(p, grid, potential_fn)
+    grid = _grid_for(p, grid, potential_fn)
     coarse, _ = _solve_grid(p, grid.half_width, grid.points, k, potential_fn)
     fine, floor = _solve_grid(p, grid.half_width, 2 * grid.points - 1, k, potential_fn)
     extrapolated = fine + (fine - coarse) / 3.0
@@ -165,7 +170,7 @@ def default_grid(p: WellParameters) -> GridSpec:
 
     Finer is not better here: the doublet error is discretization + noise,
     and the noise term grows as 1/h^2, so a moderately coarse grid minimizes
-    the total.  The box clears _check_box's margin by one oscillator length.
+    the total.  The box clears _grid_for's margin by one oscillator length.
     """
     s = p.oscillator_length
     half_width = _outer_turning_point(p) + 6.0 * s
@@ -182,7 +187,7 @@ def exact_splitting(p: WellParameters) -> tuple[float, float]:
     in 64-bit arithmetic that limits the double well to eta of roughly 0.15
     and above, where the splitting is ~1e-12 of the ground energy or larger.
     """
-    result = solve_spectrum(p, default_grid(p), k=2)
+    result = solve_spectrum(p, k=2)
     if not result.splitting > 10.0 * result.splitting_estimate:
         raise ResolutionError(
             "splitting below numerical resolution: "
@@ -197,9 +202,6 @@ def doublet_parities(p: WellParameters, grid: GridSpec | None = None, k: int = 4
     +1 for even states, -1 for odd ones (exact alternation for a symmetric
     well on a symmetric grid)."""
     k = whole_number(k, "k", 2)
-    if grid is None:
-        grid = default_grid(p)
-    else:
-        _check_box(p, grid, None)
+    grid = _grid_for(p, grid, None)
     _, vec = _solve_grid(p, grid.half_width, grid.points, k, None, vectors=True)
     return tuple(float(np.dot(vec[::-1, i], vec[:, i])) for i in range(vec.shape[1]))

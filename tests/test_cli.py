@@ -101,11 +101,27 @@ def test_splitting_physical_parameters(capsys):
         ["splitting", "--a", "1e-200", "--method", "instanton"],
         ["splitting", "--a", "1e200", "--method", "wkb-exact"],
         ["splitting", "--eta", "1e-200", "--method", "instanton"],
+        # wells so far apart that the WKB action integral overflows float64
+        ["splitting", "--eta", "1e-120", "--method", "wkb-exact"],
+        ["splitting", "--a", "1e120", "--method", "wkb-exact"],
     ],
 )
 def test_splitting_usage_and_domain_errors(argv, capsys):
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_wkb_route_refuses_far_apart_wells_by_eta(tmp_path, capsys):
+    # the WKB kernel names the eta given instead of printing -inf (or, where
+    # a^2 overflows, reporting eta = 0); the instanton route has no such limit
+    assert main(["splitting", "--eta", "1e-120", "--method", "wkb-exact"]) == 2
+    assert "error: eta=1e-120 is beyond the WKB route's float64 range" in capsys.readouterr().err
+    out = tmp_path / "never.csv"
+    assert main(["sweep", "--eta-min", "1e-200", "--eta-max", "0.1", "--out", str(out)]) == 2
+    assert "error: eta=1e-200 is beyond the WKB route's float64 range" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["splitting", "--eta", "1e-120", "--method", "instanton"]) == 0
+    assert float(_parse_splitting_line(capsys.readouterr().out)["ln_dE_over_hbar_omega"]) < -6e239
 
 
 @pytest.mark.parametrize(

@@ -109,6 +109,11 @@ def test_from_eta_rejects_nonpositive(bad):
         from_eta(bad)
 
 
+def test_from_eta_refuses_an_array_as_eta():
+    with pytest.raises(ValueError, match="^eta must be a scalar"):
+        from_eta(np.array([0.1]))
+
+
 @pytest.mark.parametrize("bad", [None, {}, "0.1", 1 + 2j])
 def test_non_numbers_are_named_as_given(bad):
     # a value numpy can hold only as an object, or as text or a complex

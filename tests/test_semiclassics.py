@@ -179,13 +179,29 @@ def test_level_at_or_below_well_bottom_rejected(epsilon):
 
 @pytest.mark.parametrize(
     "bad",
-    [np.array([10.0, -10.0]), np.array([0.1, math.nan]), 0.0, None, "0.1", True, 0.1 + 0.0j],
+    [
+        np.array([10.0, -10.0]), np.array([0.1, math.nan]), 0.0, None, "0.1", True, 0.1 + 0.0j,
+        np.array([[0.1, 0.2]]),
+    ],
 )
 def test_splitting_table_validates_eta(bad):
     # the array entry point checks eta like every other one, instead of
     # returning rows with a negative eta and NaN columns
     with pytest.raises(ValueError, match="^eta "):
         splitting_table(bad)
+
+
+def test_splitting_table_of_no_eta_has_no_rows():
+    assert splitting_table(np.array([])).shape == (0, 12)
+
+
+@pytest.mark.parametrize("tiny", [1e-120, 1e-200])
+def test_splitting_table_refuses_eta_beyond_float64_range(tiny):
+    # the action integral (~a^3) would overflow below eta ~ 1.8e-103, and a^2
+    # itself below eta ~ 7.5e-155; both are refused by the eta given, without
+    # a RuntimeWarning (the suite turns those into errors)
+    with pytest.raises(ValueError, match=f"^eta={tiny!r} is beyond the WKB route's float64 range"):
+        splitting_table(np.array([0.1, tiny]))
 
 
 def test_action_small_eta_limit():

@@ -19,6 +19,7 @@ from doublewell import (
     splitting_wkb_exact,
 )
 from doublewell import solve_spectrum
+from doublewell import spectral
 from doublewell.spectral import _solve_grid, default_grid
 
 
@@ -121,6 +122,7 @@ def test_every_eigensolver_entry_point_refuses_beyond_validity_boundary(eta_valu
     p = from_eta(eta_value)
     grid = GridSpec(20.0, 401)
     calls = [
+        lambda: solve_spectrum(p),
         lambda: solve_spectrum(p, grid),
         lambda: doublet_parities(p),
         lambda: doublet_parities(p, grid),
@@ -129,6 +131,21 @@ def test_every_eigensolver_entry_point_refuses_beyond_validity_boundary(eta_valu
     for call in calls:
         with pytest.raises(ValueError, match="validity boundary"):
             call()
+
+
+def test_default_grid_is_the_grid_none_means():
+    p = from_eta(0.2)
+    assert solve_spectrum(p) == solve_spectrum(p, default_grid(p))
+
+
+def test_exact_splitting_boxes_the_well_once(monkeypatch):
+    # the default grid clears the box margin by construction, so the validity
+    # guard and the turning points run once, not again as a box check
+    calls = []
+    original = spectral._outer_turning_point
+    monkeypatch.setattr(spectral, "_outer_turning_point", lambda p: calls.append(p) or original(p))
+    exact_splitting(from_eta(0.2))
+    assert len(calls) == 1
 
 
 def test_grid_spec_validation():
