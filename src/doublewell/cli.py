@@ -40,9 +40,9 @@ _COLUMNS = CSV_HEADER.split(",")
 #: rows per array pass of `sweep`.  Every block is kept until all are known to
 #: be finite (so that no partial file is written), so blocking bounds the
 #: kernel's per-pass temporaries and the writer's per-block `tolist()` floats:
-#: a log-spaced 10^4-row sweep in one pass peaked at 66.0 MB RSS against 59.0 MB
-#: in blocks (in-process after a warm-up sweep; Python 3.11.7, numpy 2.4.6,
-#: 2-vCPU Xeon VM)
+#: a log-spaced 10^4-row sweep in one pass peaked at 38.6 MB RSS against 31.3 MB
+#: in blocks (in a process that loads only doublewell.cli and numpy, after a
+#: 100-row warm-up sweep; Python 3.11.7, numpy 2.4.6, 2-vCPU Xeon VM)
 _BLOCK_ROWS = 1024
 
 #: Reference values of the corrected ratio sqrt(e/pi)*delta(eta), printed to

@@ -284,9 +284,18 @@ def delta_factor(eta_value):
 
 
 def ln_splitting_instanton(eta_value):
-    """ln(dE_instanton / hbar w) = ln(4 / (sqrt(pi) eta)) - 2/(3 eta^2)."""
+    """ln(dE_instanton / hbar w) = ln(4 / (sqrt(pi) eta)) - 2/(3 eta^2), for
+    every eta > 0 where 2/(3 eta^2) is finite in float64 (eta >~ 6.1e-155)."""
     eta_value = positive_real(eta_value, "eta")
-    return _plain(np.log(4.0 / (math.sqrt(math.pi) * eta_value)) - 2.0 / (3.0 * eta_value**2))
+    with np.errstate(divide="ignore", over="ignore"):
+        exponent = 2.0 / (3.0 * np.square(eta_value))
+    if not np.isfinite(exponent).all():
+        # the exponent falls with eta, so the smallest eta given overflows
+        raise ValueError(
+            f"eta={float(np.min(eta_value))!r} is beyond the instanton formula's "
+            f"float64 range: its exponent 2/(3 eta^2) overflows"
+        )
+    return _plain(np.log(4.0 / (math.sqrt(math.pi) * eta_value)) - exponent)
 
 
 def ln_splitting_asymptotic(eta_value):
@@ -321,7 +330,9 @@ def splitting_asymptotic(p: WellParameters) -> float:
 
 def splitting_instanton(p: WellParameters) -> float:
     """Tunneling splitting (energy units) from the instanton formula
-    hbar w (4 / (sqrt(pi) eta)) e^{-2/(3 eta^2)}; total for eta > 0."""
+    hbar w (4 / (sqrt(pi) eta)) e^{-2/(3 eta^2)}, for every well with
+    eta >~ 6.1e-155: below that the exponent overflows float64 and
+    ln_splitting_instanton refuses the eta."""
     return p.hbar * p.angular_frequency * math.exp(ln_splitting_instanton(eta_of(p)))
 
 

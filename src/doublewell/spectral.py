@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .model import WellParameters, eta as eta_of, positive_scalar, potential, whole_number
 from .perturbation import perturbed_level
@@ -94,6 +93,10 @@ def _solve_grid(
     potential_fn: Callable[[np.ndarray], np.ndarray] | None,
     vectors: bool = False,
 ):
+    # scipy.linalg loads on the first solve, not at import; a module global stays wrappable
+    global eigh_tridiagonal
+    if "eigh_tridiagonal" not in globals():
+        from scipy.linalg import eigh_tridiagonal
     x = np.linspace(-half_width, half_width, n)
     h = x[1] - x[0]
     v = potential(p, x) if potential_fn is None else np.asarray(potential_fn(x), dtype=float)

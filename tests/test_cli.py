@@ -104,6 +104,9 @@ def test_splitting_physical_parameters(capsys):
         # wells so far apart that the WKB action integral overflows float64
         ["splitting", "--eta", "1e-120", "--method", "wkb-exact"],
         ["splitting", "--a", "1e120", "--method", "wkb-exact"],
+        # a subnormal hbar implies eta ~ 1e-155, where 2/(3 eta^2) overflows float64
+        ["splitting", "--a", "1", "--hbar", "1e-310", "--method", "instanton"],
+        ["splitting", "--a", "1", "--hbar", "1e-310", "--method", "asymptotic"],
     ],
 )
 def test_splitting_usage_and_domain_errors(argv, capsys):

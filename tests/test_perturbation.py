@@ -203,6 +203,31 @@ def test_import_does_not_load_scipy_optimize():
     assert proc.stdout.strip() == "False"
 
 
+def test_scipy_is_loaded_only_on_the_eigensolver_path(tmp_path):
+    # the closed-form commands need numpy alone; the first eigensolve loads
+    # scipy.linalg and binds its solver as a module attribute of spectral
+    src = str(Path(doublewell.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = f"""
+import sys
+from doublewell.cli import main
+commands = [["table1"], ["sweep", "--steps", "10", "--out", {str(tmp_path / "sweep.csv")!r}]]
+commands += [["splitting", "--eta", "0.2", "--method", m] for m in ("instanton", "asymptotic", "wkb-exact")]
+for argv in commands:
+    assert main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+import doublewell.spectral as spectral
+from doublewell import exact_splitting, from_eta
+exact_splitting(from_eta(0.2))
+assert "scipy.linalg" in sys.modules
+import scipy.linalg
+assert spectral.eigh_tridiagonal is scipy.linalg.eigh_tridiagonal
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_turning_expression_small_in_table_range():
     for et in np.linspace(1e-3, 0.15, 100):
         assert 2.0 * et * math.sqrt(1.0 + epsilon_closed_form(float(et))) < 1.0

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -268,6 +270,29 @@ def test_instanton_defined_for_any_positive_eta():
     # finite and positive even far beyond the perturbative regime.
     assert splitting_instanton(from_eta(5.0)) > 0.0
     assert math.isfinite(ln_splitting_instanton(0.7))
+
+
+@pytest.mark.parametrize("route", [ln_splitting_instanton, ln_splitting_asymptotic])
+@pytest.mark.parametrize("tiny", [1e-200, np.array([1e-200]), np.array([0.1, 1e-156, 1e-300])])
+def test_instanton_refuses_eta_whose_exponent_overflows(route, tiny):
+    # below eta ~ 6.09e-155, 2/(3 eta^2) is not finite in float64: the eta is
+    # refused by name, not met by a ZeroDivisionError or a -inf after a warning
+    smallest = float(np.min(tiny))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^eta={re.escape(repr(smallest))} is beyond the instanton formula's"):
+            route(tiny)
+
+
+def test_instanton_finite_down_to_its_float64_limit():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in (ln_splitting_instanton, ln_splitting_asymptotic):
+            assert math.isfinite(route(1e-150))
+            assert math.isfinite(route(6.1e-155))
+            assert np.isfinite(route(np.array([1e-150, 0.1]))).all()
+        with pytest.raises(ValueError, match="instanton formula's float64 range"):
+            ln_splitting_instanton(6.08e-155)
 
 
 def test_correction_dependent_routes_guard_their_domain():
