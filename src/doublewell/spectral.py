@@ -85,31 +85,196 @@ class SpectrumResult:
             raise ValueError("eigenvalues out of order beyond their error estimates")
 
 
+# dstebz's constants: the unit in the last place (LAPACK's DLAMCH('P')), its
+# relative stopping tolerance RELFAC * ULP, the Gershgorin widening factor,
+# and the smallest normal float (DLAMCH('S')) that scales the pivot floor
+_ULP = 2.0**-52
+_RTOLI = 2.0 * _ULP
+_FUDGE = 2.1
+_TINY = 2.0**-1022
+
+
+def eigh_tridiagonal(diag: np.ndarray, off: float, k: int) -> np.ndarray:
+    """The k lowest eigenvalues, ascending, of the symmetric tridiagonal matrix
+    with diagonal `diag` and every off-diagonal entry equal to `off`.
+
+    A port of LAPACK dstebz (RANGE='I', IL=1, IU=k, ABSTOL=0), the routine
+    behind scipy.linalg.eigh_tridiagonal(select="i", eigvals_only=True):
+    Sturm-count bisection (Barth, Martin & Wilkinson, Numer. Math. 9, 386,
+    1967) with dstebz's constants and order of operations, so the values are
+    bit-identical to scipy's.  Each is within about ULP * ||T|| of an
+    eigenvalue of the matrix as stored.  dstebz's first count at each end of
+    the refinement interval replaces pivots with |t| < pivmin where its loop
+    tests t <= pivmin; the rules differ only at t == pivmin exactly, and the
+    port uses the loop's rule throughout.
+    """
+    d = np.asarray(diag, dtype=float).tolist()
+    n = len(d)
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be between 1 and the matrix size {n}, got {k}")
+    if not (all(map(math.isfinite, d)) and math.isfinite(off)):
+        raise ValueError("matrix entries must be finite")
+    if n == 1:
+        return np.array(d)
+    e = abs(float(off))
+    e2 = e * e
+    if any(abs(a * b) * _ULP**2 + _TINY > e2 for a, b in zip(d, d[1:])):
+        raise ValueError("off-diagonal negligible against the diagonal: the matrix splits into blocks")
+    pivmin = max(1.0, e2) * _TINY
+    first, rest = d[0], d[1:]
+
+    def count(c: float) -> int:
+        """Eigenvalues below c: the negative pivots of LDL^T of T - c."""
+        t = first - c
+        m = 0
+        if t <= pivmin:
+            m, t = 1, min(t, -pivmin)
+        for dj in rest:
+            t = dj - e2 / t - c
+            if t <= pivmin:
+                m += 1
+                t = min(t, -pivmin)
+        return m
+
+    def converged(lo: float, hi: float, below: int, above: int, atol: float) -> bool:
+        return below >= above or abs(hi - lo) < max(atol, pivmin, _RTOLI * max(abs(hi), abs(lo)))
+
+    def gershgorin(radius: float, low_pad: float) -> tuple[float, float, float]:
+        """Gershgorin interval widened as dstebz does, and its norm before widening.
+
+        dstebz takes (d_j + radius) + radius on inner rows and d_j + radius on
+        the two end rows; rounding is monotone, so the extremes of d give the
+        same floats as its loop."""
+        inner = d[1:-1]
+        gu = max(max(d[0], d[-1]) + radius, max(inner, default=-math.inf) + radius + radius)
+        gl = min(min(d[0], d[-1]) - radius, min(inner, default=math.inf) - radius - radius)
+        norm = max(abs(gl), abs(gu))
+        pad = _FUDGE * norm * _ULP * n
+        return gl - pad - low_pad * pivmin, gu + pad + _FUDGE * pivmin, norm
+
+    def iterations(width: float) -> int:
+        return int((math.log(width + pivmin) - math.log(pivmin)) / math.log(2.0)) + 2
+
+    def search(lo: float, hi: float, c: float, target: int, atol: float, itmax: int):
+        """dlaebz job 3: from the first point c, shrink [lo, hi] about a w with N(w) = target."""
+        below, above = -1, n + 1
+        for _ in range(itmax):
+            m = count(c)
+            if m <= target:
+                lo, below = c, m
+            if m >= target:
+                hi, above = c, m
+            if converged(lo, hi, below, above, atol):
+                break
+            c = 0.5 * (lo + hi)
+        return lo, hi, below, above
+
+    if k < n:
+        # locate eigenvalues 1..k in the whole matrix's Gershgorin interval
+        gl, gu, tnorm = gershgorin(math.sqrt(e2), 2.0 * _FUDGE)
+        itmax = iterations(tnorm)
+        wl = search(gl, gu, gl, 0, _ULP * tnorm, itmax)[0]
+        wul, wu = search(gl, gu, gu, k, _ULP * tnorm, itmax)[:2]
+    gl, gu, _ = gershgorin(e, _FUDGE)
+    atol = _ULP * max(abs(gl), abs(gu))
+    if k < n:
+        gl, gu = max(gl, wl), min(gu, wu)
+    # dlaebz job 1 counts the ends, job 2 bisects and keeps every half that holds eigenvalues
+    base, top = count(gl), count(gu)
+    active, done = [[gl, gu, base, top]], []
+    for _ in range(iterations(gu - gl)):
+        for interval in list(active):
+            lo, hi, below, above = interval
+            c = 0.5 * (lo + hi)
+            m = min(above, max(below, count(c)))
+            if m == above:
+                interval[1] = c
+            elif m == below:
+                interval[0] = c
+            else:
+                active.append([c, hi, m, above])
+                interval[1], interval[3] = c, m
+        still = []
+        for interval in active:
+            (done if converged(*interval, atol) else still).append(interval)
+        active = still
+        if not active:
+            break
+    else:
+        raise np.linalg.LinAlgError("eigh_tridiagonal: bisection did not converge")
+    # a converged interval reports its midpoint once per eigenvalue it holds
+    w = [0.0] * (top - base)
+    for lo, hi, below, above in done:
+        w[below - base:above - base] = [0.5 * (lo + hi)] * (above - below)
+    if k < n and top > k:
+        # [wul, wu] held eigenvalues beyond the k-th; dstebz drops the surplus
+        # from the first values at or above wul, and what is left of it from the top
+        start = next((i for i, x in enumerate(w) if x >= wul), len(w))
+        w = (w[:start] + w[start + top - k:])[: k - base]
+    return np.array(w)
+
+
+def _eigenvectors(diag: np.ndarray, off: float, norm: float, w: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors for the eigenvalues w, as columns, by three sweeps of
+    inverse iteration.
+
+    Each sweep is one Thomas solve of (T - lambda) y = x, starting from a
+    vector that is not mirror-symmetric, so even and odd states both appear.
+    As in LAPACK's dstein, pivots smaller than eps * `norm` (a bound on ||T||)
+    are raised to it, and each sweep is orthogonalized against the vectors of
+    eigenvalues closer than 1e-3 * `norm`, so a doublet degenerate in float64
+    still gets two orthogonal vectors.
+    """
+    d = diag.tolist()
+    n = len(d)
+    tol = _EPS * norm
+    vectors = np.empty((n, len(w)))
+    for i, lam in enumerate(w.tolist()):
+        pivots: list[float] = []
+        u = 0.0
+        for dj in d:
+            u = dj - lam - (off * off / u if pivots else 0.0)
+            if abs(u) < tol:
+                u = math.copysign(tol, u)
+            pivots.append(u)
+        cluster = vectors[:, [j for j in range(i) if abs(w[j] - lam) < 1e-3 * norm]]
+        y = np.linspace(1.0, 2.0, n).tolist()
+        for _ in range(3):
+            for j in range(1, n):
+                y[j] -= off / pivots[j - 1] * y[j - 1]
+            y[-1] /= pivots[-1]
+            for j in range(n - 2, -1, -1):
+                y[j] = (y[j] - off * y[j + 1]) / pivots[j]
+            v = np.array(y)
+            v -= cluster @ (cluster.T @ v)
+            v /= np.linalg.norm(v)
+            y = v.tolist()
+        vectors[:, i] = v
+    return vectors
+
+
+def _matrix(p: WellParameters, half_width: float, n: int, potential_fn) -> tuple[np.ndarray, float, float]:
+    """Diagonal and constant off-diagonal of the central-difference Hamiltonian,
+    and the bound 2 hbar^2/(m h^2) + max V on its norm."""
+    x = np.linspace(-half_width, half_width, n)
+    h = x[1] - x[0]
+    v = potential(p, x) if potential_fn is None else np.asarray(potential_fn(x), dtype=float)
+    kinetic = p.hbar * p.hbar / (p.mass * h * h)
+    return kinetic + v, float(-0.5 * kinetic), 2.0 * kinetic + float(np.max(v))
+
+
 def _solve_grid(
     p: WellParameters,
     half_width: float,
     n: int,
     k: int,
     potential_fn: Callable[[np.ndarray], np.ndarray] | None,
-    vectors: bool = False,
 ):
-    # scipy.linalg loads on the first solve, not at import; a module global stays wrappable
-    global eigh_tridiagonal
-    if "eigh_tridiagonal" not in globals():
-        from scipy.linalg import eigh_tridiagonal
-    x = np.linspace(-half_width, half_width, n)
-    h = x[1] - x[0]
-    v = potential(p, x) if potential_fn is None else np.asarray(potential_fn(x), dtype=float)
-    kinetic = p.hbar * p.hbar / (p.mass * h * h)
-    diag = kinetic + v
-    offdiag = np.full(n - 1, -0.5 * kinetic)
-    if vectors:
-        return eigh_tridiagonal(diag, offdiag, select="i", select_range=(0, k - 1))
-    w = eigh_tridiagonal(diag, offdiag, select="i", select_range=(0, k - 1), eigvals_only=True)
+    diag, off, norm = _matrix(p, half_width, n, potential_fn)
+    w = eigh_tridiagonal(diag, off, k)
     # eps * ||H|| bounds the backward error of the eigensolve; _NOISE_FRACTION
     # of it is the observed forward noise on closely spaced eigenvalues
-    floor = _NOISE_FRACTION * _EPS * (2.0 * kinetic + float(np.max(v)))
-    return w, floor
+    return w, _NOISE_FRACTION * _EPS * norm
 
 
 def _outer_turning_point(p: WellParameters) -> float:
@@ -206,5 +371,6 @@ def doublet_parities(p: WellParameters, grid: GridSpec | None = None, k: int = 4
     well on a symmetric grid)."""
     k = whole_number(k, "k", 2)
     grid = _grid_for(p, grid, None)
-    _, vec = _solve_grid(p, grid.half_width, grid.points, k, None, vectors=True)
+    diag, off, norm = _matrix(p, grid.half_width, grid.points, None)
+    vec = _eigenvectors(diag, off, norm, eigh_tridiagonal(diag, off, k))
     return tuple(float(np.dot(vec[::-1, i], vec[:, i])) for i in range(vec.shape[1]))

@@ -203,26 +203,23 @@ def test_import_does_not_load_scipy_optimize():
     assert proc.stdout.strip() == "False"
 
 
-def test_scipy_is_loaded_only_on_the_eigensolver_path(tmp_path):
-    # the closed-form commands need numpy alone; the first eigensolve loads
-    # scipy.linalg and binds its solver as a module attribute of spectral
+def test_no_command_imports_scipy(tmp_path):
+    # the runtime needs numpy alone: with scipy made unimportable, every
+    # subcommand and every splitting method, the eigensolver's included,
+    # exits as it should and loads no scipy module
     src = str(Path(doublewell.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = f"""
 import sys
+sys.modules["scipy"] = None
 from doublewell.cli import main
-commands = [["table1"], ["sweep", "--steps", "10", "--out", {str(tmp_path / "sweep.csv")!r}]]
-commands += [["splitting", "--eta", "0.2", "--method", m] for m in ("instanton", "asymptotic", "wkb-exact")]
-for argv in commands:
-    assert main(argv) == 0, argv
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+commands = [(["table1"], 0), (["validate"], 0), (["sweep", "--steps", "10", "--out", {str(tmp_path / "sweep.csv")!r}], 0)]
+commands += [(["splitting", "--eta", "0.2", "--method", m], 0) for m in ("instanton", "asymptotic", "wkb-exact", "spectral")]
+commands += [(["splitting", "--eta", "0.1", "--method", "spectral"], 3)]
+codes = [(argv, main(argv), expected) for argv, expected in commands]
+assert all(code == expected for _, code, expected in codes), codes
+loaded = sorted(m for m, module in sys.modules.items() if m.split(".")[0] == "scipy" and module is not None)
 assert not loaded, loaded
-import doublewell.spectral as spectral
-from doublewell import exact_splitting, from_eta
-exact_splitting(from_eta(0.2))
-assert "scipy.linalg" in sys.modules
-import scipy.linalg
-assert spectral.eigh_tridiagonal is scipy.linalg.eigh_tridiagonal
 """
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal as lapack_eigh_tridiagonal
 
 from doublewell import (
     GridSpec,
@@ -20,7 +23,103 @@ from doublewell import (
 )
 from doublewell import solve_spectrum
 from doublewell import spectral
-from doublewell.spectral import _solve_grid, default_grid
+from doublewell.spectral import _eigenvectors, _matrix, _solve_grid, default_grid, eigh_tridiagonal
+
+
+def _lapack(diag, off, k):
+    return lapack_eigh_tridiagonal(diag, np.full(len(diag) - 1, off), select="i", select_range=(0, k - 1), eigvals_only=True)
+
+
+@pytest.mark.parametrize("eta_value", [*np.linspace(0.05, 0.6, 20).tolist(), 0.14, 0.157])
+def test_port_is_bit_identical_to_lapack_on_default_grids(eta_value):
+    # every number the spectral route reports comes from these two solves
+    p = from_eta(eta_value)
+    grid = default_grid(p)
+    for n in (grid.points, 2 * grid.points - 1):
+        diag, off, _ = _matrix(p, grid.half_width, n, None)
+        assert np.array_equal(eigh_tridiagonal(diag, off, 2), _lapack(diag, off, 2))
+
+
+@pytest.mark.parametrize("n", [201, 301, 4001, 8001])
+def test_port_is_bit_identical_to_lapack_across_sizes_and_levels(n):
+    p = from_eta(0.2)
+    diag, off, _ = _matrix(p, default_grid(p).half_width, n, None)
+    for k in (2, 3, 4, 6):
+        assert np.array_equal(eigh_tridiagonal(diag, off, k), _lapack(diag, off, k)), k
+
+
+@pytest.mark.parametrize("eta_value", [0.05, 0.1])
+def test_port_is_bit_identical_to_lapack_when_k_splits_a_doublet(eta_value):
+    # an odd k cuts a doublet degenerate to float64, so the located interval
+    # holds one eigenvalue too many and the surplus is dropped as dstebz does
+    # (at eta = 0.1 on the coarse grid, by its fallback for non-monotone counts)
+    p = from_eta(eta_value)
+    grid = default_grid(p)
+    for n in (grid.points, 2 * grid.points - 1):
+        diag, off, _ = _matrix(p, grid.half_width, n, None)
+        for k in (1, 3, 5):
+            assert np.array_equal(eigh_tridiagonal(diag, off, k), _lapack(diag, off, k)), (n, k)
+
+
+@pytest.mark.parametrize(
+    "params, half_width, potential_fn",
+    [
+        ((1.0, 1.0, 1.0, 1.0), 10.0, lambda x: 0.5 * x * x),
+        ((2.0, 3.0, 1.0, 1.5), 5.0, lambda x: 9.0 * x * x),
+    ],
+)
+def test_port_is_bit_identical_to_lapack_on_oracle_potentials(params, half_width, potential_fn):
+    p = WellParameters(*params)
+    for n in (2001, 4001):
+        diag, off, _ = _matrix(p, half_width, n, potential_fn)
+        assert np.array_equal(eigh_tridiagonal(diag, off, 3), _lapack(diag, off, 3))
+
+
+def _sturm_bisection(diag, off, k, digits=40):
+    """The k lowest eigenvalues of the float64 matrix as stored, by Sturm-count
+    bisection in `digits`-digit arithmetic, to 1e-28 of the Gershgorin width."""
+    with mpmath.workdps(digits):
+        d = [mpmath.mpf(x) for x in diag.tolist()]
+        e2 = mpmath.mpf(off) ** 2
+        tiny = mpmath.mpf(10) ** (-2 * digits)
+
+        def count(c):
+            t, m = d[0] - c, 0
+            for dj in d[1:]:
+                m += t < 0
+                t = dj - c - e2 / (t or tiny)
+            return m + (t < 0)
+
+        radius = 2 * abs(mpmath.mpf(off))
+        low, high = min(d) - radius, max(d) + radius
+        values = []
+        for i in range(k):
+            lo, hi = low, high
+            while hi - lo > (high - low) * mpmath.mpf(10) ** -28:
+                mid = (lo + hi) / 2
+                lo, hi = (lo, mid) if count(mid) > i else (mid, hi)
+            values.append((lo + hi) / 2)
+        return values
+
+
+def test_port_is_within_its_stopping_tolerance_of_exact_eigenvalues():
+    # dstebz stops bisecting at ULP * ||T||; the exact eigenvalues of the same
+    # float64 matrix bound the port's whole error, counting error included
+    p = from_eta(0.2)
+    diag, off, norm = _matrix(p, default_grid(p).half_width, 201, None)
+    exact = _sturm_bisection(diag, off, 4)
+    for value, reference in zip(eigh_tridiagonal(diag, off, 4), exact):
+        assert abs(mpmath.mpf(float(value)) - reference) <= spectral._ULP * norm
+
+
+def test_parity_vectors_match_lapack():
+    p = from_eta(0.2)
+    grid = default_grid(p)
+    diag, off, norm = _matrix(p, grid.half_width, grid.points, None)
+    _, lapack_vectors = lapack_eigh_tridiagonal(diag, np.full(grid.points - 1, off), select="i", select_range=(0, 3))
+    vectors = _eigenvectors(diag, off, norm, eigh_tridiagonal(diag, off, 4))
+    overlaps = np.abs(np.sum(vectors * lapack_vectors, axis=0))
+    assert np.all(np.abs(overlaps - 1.0) <= 1e-12), overlaps
 
 
 def test_harmonic_oscillator_oracle_natural_units():
@@ -214,3 +313,15 @@ def test_result_rejects_inversion_beyond_error_bars():
 def test_exact_splitting_deterministic():
     p = from_eta(0.18)
     assert exact_splitting(p) == exact_splitting(p)
+
+
+def test_degenerate_doublet_gets_orthogonal_vectors():
+    # at eta = 0.1 each doublet is degenerate in float64, so both members'
+    # inverse iterations converge to the same direction unless orthogonalized
+    p = from_eta(0.1)
+    grid = default_grid(p)
+    diag, off, norm = _matrix(p, grid.half_width, grid.points, None)
+    w = eigh_tridiagonal(diag, off, 4)
+    assert w[0] == w[1] and w[2] == w[3]
+    vectors = _eigenvectors(diag, off, norm, w)
+    assert np.abs(vectors.T @ vectors - np.eye(4)).max() < 1e-12
