@@ -26,13 +26,15 @@ __all__ = [
     "ResolutionError",
     "solve_spectrum",
     "exact_splitting",
-    "doublet_parities",
 ]
 
 _EPS = float(np.finfo(float).eps)
-# Fraction of the matrix-scale rounding bound eps * ||H|| that shows up as
-# actual eigenvalue noise; calibrated against grid-to-grid scatter of
-# degenerate doublets.  Deliberately on the safe side.
+# Fraction of the matrix-scale rounding bound eps * ||H|| taken as the noise
+# on E1 - E0, calibrated against grid-to-grid scatter of degenerate doublets.
+# It is not a bound: against the exact eigenvalues of the same float64 matrix
+# (40-digit Sturm bisection), E1 - E0 at eta = 0.2 is off by 2.2 floors on the
+# default coarse grid and 1.14 on the fine one.  ROADMAP.md item 2 plans to
+# derive the floor from dstebz's stopping rule instead.
 _NOISE_FRACTION = 0.25
 
 
@@ -96,7 +98,8 @@ _TINY = 2.0**-1022
 
 def eigh_tridiagonal(diag: np.ndarray, off: float, k: int) -> np.ndarray:
     """The k lowest eigenvalues, ascending, of the symmetric tridiagonal matrix
-    with diagonal `diag` and every off-diagonal entry equal to `off`.
+    with diagonal `diag` and every off-diagonal entry equal to `off`; k must be
+    below the matrix size.
 
     A port of LAPACK dstebz (RANGE='I', IL=1, IU=k, ABSTOL=0), the routine
     behind scipy.linalg.eigh_tridiagonal(select="i", eigvals_only=True):
@@ -110,12 +113,10 @@ def eigh_tridiagonal(diag: np.ndarray, off: float, k: int) -> np.ndarray:
     """
     d = np.asarray(diag, dtype=float).tolist()
     n = len(d)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be between 1 and the matrix size {n}, got {k}")
+    if not 1 <= k < n:
+        raise ValueError(f"k must be at least 1 and below the matrix size {n}, got {k}")
     if not (all(map(math.isfinite, d)) and math.isfinite(off)):
         raise ValueError("matrix entries must be finite")
-    if n == 1:
-        return np.array(d)
     e = abs(float(off))
     e2 = e * e
     if any(abs(a * b) * _ULP**2 + _TINY > e2 for a, b in zip(d, d[1:])):
@@ -169,16 +170,14 @@ def eigh_tridiagonal(diag: np.ndarray, off: float, k: int) -> np.ndarray:
             c = 0.5 * (lo + hi)
         return lo, hi, below, above
 
-    if k < n:
-        # locate eigenvalues 1..k in the whole matrix's Gershgorin interval
-        gl, gu, tnorm = gershgorin(math.sqrt(e2), 2.0 * _FUDGE)
-        itmax = iterations(tnorm)
-        wl = search(gl, gu, gl, 0, _ULP * tnorm, itmax)[0]
-        wul, wu = search(gl, gu, gu, k, _ULP * tnorm, itmax)[:2]
+    # locate eigenvalues 1..k in the whole matrix's Gershgorin interval
+    gl, gu, tnorm = gershgorin(math.sqrt(e2), 2.0 * _FUDGE)
+    itmax = iterations(tnorm)
+    wl = search(gl, gu, gl, 0, _ULP * tnorm, itmax)[0]
+    wul, wu = search(gl, gu, gu, k, _ULP * tnorm, itmax)[:2]
     gl, gu, _ = gershgorin(e, _FUDGE)
     atol = _ULP * max(abs(gl), abs(gu))
-    if k < n:
-        gl, gu = max(gl, wl), min(gu, wu)
+    gl, gu = max(gl, wl), min(gu, wu)
     # dlaebz job 1 counts the ends, job 2 bisects and keeps every half that holds eigenvalues
     base, top = count(gl), count(gu)
     active, done = [[gl, gu, base, top]], []
@@ -206,51 +205,12 @@ def eigh_tridiagonal(diag: np.ndarray, off: float, k: int) -> np.ndarray:
     w = [0.0] * (top - base)
     for lo, hi, below, above in done:
         w[below - base:above - base] = [0.5 * (lo + hi)] * (above - below)
-    if k < n and top > k:
+    if top > k:
         # [wul, wu] held eigenvalues beyond the k-th; dstebz drops the surplus
         # from the first values at or above wul, and what is left of it from the top
         start = next((i for i, x in enumerate(w) if x >= wul), len(w))
         w = (w[:start] + w[start + top - k:])[: k - base]
     return np.array(w)
-
-
-def _eigenvectors(diag: np.ndarray, off: float, norm: float, w: np.ndarray) -> np.ndarray:
-    """Unit eigenvectors for the eigenvalues w, as columns, by three sweeps of
-    inverse iteration.
-
-    Each sweep is one Thomas solve of (T - lambda) y = x, starting from a
-    vector that is not mirror-symmetric, so even and odd states both appear.
-    As in LAPACK's dstein, pivots smaller than eps * `norm` (a bound on ||T||)
-    are raised to it, and each sweep is orthogonalized against the vectors of
-    eigenvalues closer than 1e-3 * `norm`, so a doublet degenerate in float64
-    still gets two orthogonal vectors.
-    """
-    d = diag.tolist()
-    n = len(d)
-    tol = _EPS * norm
-    vectors = np.empty((n, len(w)))
-    for i, lam in enumerate(w.tolist()):
-        pivots: list[float] = []
-        u = 0.0
-        for dj in d:
-            u = dj - lam - (off * off / u if pivots else 0.0)
-            if abs(u) < tol:
-                u = math.copysign(tol, u)
-            pivots.append(u)
-        cluster = vectors[:, [j for j in range(i) if abs(w[j] - lam) < 1e-3 * norm]]
-        y = np.linspace(1.0, 2.0, n).tolist()
-        for _ in range(3):
-            for j in range(1, n):
-                y[j] -= off / pivots[j - 1] * y[j - 1]
-            y[-1] /= pivots[-1]
-            for j in range(n - 2, -1, -1):
-                y[j] = (y[j] - off * y[j + 1]) / pivots[j]
-            v = np.array(y)
-            v -= cluster @ (cluster.T @ v)
-            v /= np.linalg.norm(v)
-            y = v.tolist()
-        vectors[:, i] = v
-    return vectors
 
 
 def _matrix(p: WellParameters, half_width: float, n: int, potential_fn) -> tuple[np.ndarray, float, float]:
@@ -263,41 +223,11 @@ def _matrix(p: WellParameters, half_width: float, n: int, potential_fn) -> tuple
     return kinetic + v, float(-0.5 * kinetic), 2.0 * kinetic + float(np.max(v))
 
 
-def _solve_grid(
-    p: WellParameters,
-    half_width: float,
-    n: int,
-    k: int,
-    potential_fn: Callable[[np.ndarray], np.ndarray] | None,
-):
-    diag, off, norm = _matrix(p, half_width, n, potential_fn)
-    w = eigh_tridiagonal(diag, off, k)
-    # eps * ||H|| bounds the backward error of the eigensolve; _NOISE_FRACTION
-    # of it is the observed forward noise on closely spaced eigenvalues
-    return w, _NOISE_FRACTION * _EPS * norm
-
-
 def _outer_turning_point(p: WellParameters) -> float:
     """Outer turning point gamma of the standard level, behind the one validity
     guard: at or beyond the boundary there is no below-barrier doublet to box."""
     _check_validity(eta_of(p))
     return turning_points(p, perturbed_level(p)).gamma
-
-
-def _grid_for(p: WellParameters, grid: GridSpec | None, potential_fn) -> GridSpec:
-    """The one grid rule of every entry point: None means default_grid(p), which
-    boxes the doublet by construction; a given grid must clear the outer turning
-    point by 5 oscillator lengths, unless `potential_fn` replaces the well."""
-    if grid is None:
-        return default_grid(p)
-    if potential_fn is None:
-        margin = _outer_turning_point(p) + 5.0 * p.oscillator_length
-        if grid.half_width <= margin:
-            raise ValueError(
-                f"half_width {grid.half_width!r} too small: need > outer turning point "
-                f"+ 5 oscillator lengths = {margin:.6g} for the doublet to decay"
-            )
-    return grid
 
 
 def solve_spectrum(
@@ -311,14 +241,29 @@ def solve_spectrum(
     Solves on `grid` (default_grid(p) if None) and on its once-refined
     companion (2N-1 points, same endpoints), Richardson-extrapolates the
     second-order scheme, and reports per-level and splitting error
-    estimates.  `potential_fn` replaces the double well (for oracle
-    self-tests against exactly solvable potentials); the turning-point
-    margin check then does not apply to a given grid.
+    estimates.  A given grid must clear the outer turning point by 5
+    oscillator lengths, which default_grid does by construction.
+    `potential_fn` replaces the double well (for oracle self-tests against
+    exactly solvable potentials); that margin check then does not apply.
     """
     k = whole_number(k, "k", 2)
-    grid = _grid_for(p, grid, potential_fn)
-    coarse, _ = _solve_grid(p, grid.half_width, grid.points, k, potential_fn)
-    fine, floor = _solve_grid(p, grid.half_width, 2 * grid.points - 1, k, potential_fn)
+    if grid is None:
+        grid = default_grid(p)
+    elif potential_fn is None:
+        margin = _outer_turning_point(p) + 5.0 * p.oscillator_length
+        if grid.half_width <= margin:
+            raise ValueError(
+                f"half_width {grid.half_width!r} too small: need > outer turning point "
+                f"+ 5 oscillator lengths = {margin:.6g} for the doublet to decay"
+            )
+    levels = []
+    for n in (grid.points, 2 * grid.points - 1):
+        diag, off, norm = _matrix(p, grid.half_width, n, potential_fn)
+        levels.append(eigh_tridiagonal(diag, off, k))
+    coarse, fine = levels
+    # eps * ||H|| on the fine grid bounds the backward error of the eigensolve;
+    # _NOISE_FRACTION of it is taken as the forward noise on close eigenvalues
+    floor = _NOISE_FRACTION * _EPS * norm
     extrapolated = fine + (fine - coarse) / 3.0
     level_estimates = np.abs(fine - coarse) / 3.0 + floor
     d_coarse = coarse[1] - coarse[0]
@@ -338,7 +283,7 @@ def default_grid(p: WellParameters) -> GridSpec:
 
     Finer is not better here: the doublet error is discretization + noise,
     and the noise term grows as 1/h^2, so a moderately coarse grid minimizes
-    the total.  The box clears _grid_for's margin by one oscillator length.
+    the total.  The box clears solve_spectrum's margin by one oscillator length.
     """
     s = p.oscillator_length
     half_width = _outer_turning_point(p) + 6.0 * s
@@ -363,14 +308,3 @@ def exact_splitting(p: WellParameters) -> tuple[float, float]:
             f"(need dE > 10x estimate)"
         )
     return result.splitting, result.splitting_estimate
-
-
-def doublet_parities(p: WellParameters, grid: GridSpec | None = None, k: int = 4) -> tuple[float, ...]:
-    """Overlap of each of the lowest k eigenvectors with its mirror image:
-    +1 for even states, -1 for odd ones (exact alternation for a symmetric
-    well on a symmetric grid)."""
-    k = whole_number(k, "k", 2)
-    grid = _grid_for(p, grid, None)
-    diag, off, norm = _matrix(p, grid.half_width, grid.points, None)
-    vec = _eigenvectors(diag, off, norm, eigh_tridiagonal(diag, off, k))
-    return tuple(float(np.dot(vec[::-1, i], vec[:, i])) for i in range(vec.shape[1]))

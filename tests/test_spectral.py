@@ -14,7 +14,6 @@ from doublewell import (
     ResolutionError,
     SpectrumResult,
     WellParameters,
-    doublet_parities,
     exact_splitting,
     from_eta,
     ln_splitting_instanton,
@@ -23,7 +22,7 @@ from doublewell import (
 )
 from doublewell import solve_spectrum
 from doublewell import spectral
-from doublewell.spectral import _eigenvectors, _matrix, _solve_grid, default_grid, eigh_tridiagonal
+from doublewell.spectral import _matrix, default_grid, eigh_tridiagonal
 
 
 def _lapack(diag, off, k):
@@ -112,16 +111,6 @@ def test_port_is_within_its_stopping_tolerance_of_exact_eigenvalues():
         assert abs(mpmath.mpf(float(value)) - reference) <= spectral._ULP * norm
 
 
-def test_parity_vectors_match_lapack():
-    p = from_eta(0.2)
-    grid = default_grid(p)
-    diag, off, norm = _matrix(p, grid.half_width, grid.points, None)
-    _, lapack_vectors = lapack_eigh_tridiagonal(diag, np.full(grid.points - 1, off), select="i", select_range=(0, 3))
-    vectors = _eigenvectors(diag, off, norm, eigh_tridiagonal(diag, off, 4))
-    overlaps = np.abs(np.sum(vectors * lapack_vectors, axis=0))
-    assert np.all(np.abs(overlaps - 1.0) <= 1e-12), overlaps
-
-
 def test_harmonic_oscillator_oracle_natural_units():
     p = WellParameters(1.0, 1.0, 1.0, 1.0)
     result = solve_spectrum(p, GridSpec(10.0, 2001), k=3, potential_fn=lambda x: 0.5 * x * x)
@@ -144,8 +133,8 @@ def test_grid_refinement_is_second_order():
     half_width = default_grid(p).half_width
     energies = {}
     for n in (501, 1001, 2001):
-        w, _ = _solve_grid(p, half_width, n, 2, None)
-        energies[n] = w[0]
+        diag, off, _ = _matrix(p, half_width, n, None)
+        energies[n] = eigh_tridiagonal(diag, off, 2)[0]
     ratio = (energies[501] - energies[2001]) / (energies[1001] - energies[2001])
     assert ratio == pytest.approx(5.0, rel=0.05)
 
@@ -196,13 +185,6 @@ def test_ground_state_sits_below_barrier():
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
-def test_doublet_parities_alternate():
-    parities = doublet_parities(from_eta(0.2))
-    assert len(parities) == 4
-    for n, value in enumerate(parities):
-        assert value == pytest.approx((-1.0) ** n, abs=1e-6)
-
-
 @pytest.mark.parametrize("eta_value", [0.05, 0.14])
 def test_unresolvable_splitting_is_refused(eta_value):
     with pytest.raises(ResolutionError, match="below numerical resolution"):
@@ -223,8 +205,6 @@ def test_every_eigensolver_entry_point_refuses_beyond_validity_boundary(eta_valu
     calls = [
         lambda: solve_spectrum(p),
         lambda: solve_spectrum(p, grid),
-        lambda: doublet_parities(p),
-        lambda: doublet_parities(p, grid),
         lambda: exact_splitting(p),
     ]
     for call in calls:
@@ -272,8 +252,16 @@ def test_level_count_validation():
     for bad_k in (1, 0, 2.5, math.inf, None):
         with pytest.raises(ValueError, match="^k "):
             solve_spectrum(p, GridSpec(12.0, 301), k=bad_k)
-        with pytest.raises(ValueError, match="^k "):
-            doublet_parities(p, k=bad_k)
+
+
+def test_level_count_must_be_below_matrix_size():
+    # no caller needs every eigenvalue, so the port refuses k == n rather than keep a path for it
+    p = from_eta(0.2)
+    diag, off, _ = _matrix(p, 12.0, 301, None)
+    with pytest.raises(ValueError, match="^k "):
+        eigh_tridiagonal(diag, off, len(diag))
+    with pytest.raises(ValueError, match="^k "):
+        solve_spectrum(p, GridSpec(12.0, 301), k=301)
 
 
 def test_splitting_insensitive_to_box_size():
@@ -313,15 +301,3 @@ def test_result_rejects_inversion_beyond_error_bars():
 def test_exact_splitting_deterministic():
     p = from_eta(0.18)
     assert exact_splitting(p) == exact_splitting(p)
-
-
-def test_degenerate_doublet_gets_orthogonal_vectors():
-    # at eta = 0.1 each doublet is degenerate in float64, so both members'
-    # inverse iterations converge to the same direction unless orthogonalized
-    p = from_eta(0.1)
-    grid = default_grid(p)
-    diag, off, norm = _matrix(p, grid.half_width, grid.points, None)
-    w = eigh_tridiagonal(diag, off, 4)
-    assert w[0] == w[1] and w[2] == w[3]
-    vectors = _eigenvectors(diag, off, norm, w)
-    assert np.abs(vectors.T @ vectors - np.eye(4)).max() < 1e-12
