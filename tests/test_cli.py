@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import threading
@@ -207,13 +208,8 @@ def test_sweep_refuses_nonfinite_column(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("spacing", ["linear", "log"])
-def test_sweep_rows_equal_one_row_reports(tmp_path, spacing):
-    # the batched sweep and the one-row report are the same code path: every
-    # row's bytes are those of splitting_report at that eta, across a block
-    # boundary too, whatever grid the row belongs to
+def _assert_rows_equal_one_row_reports(tmp_path, steps, spacing):
     out = tmp_path / "rows.csv"
-    steps = 1100
     argv = [
         "sweep", "--eta-min", "0.021", "--eta-max", "0.149",
         "--steps", str(steps), "--spacing", spacing, "--out", str(out),
@@ -225,6 +221,40 @@ def test_sweep_rows_equal_one_row_reports(tmp_path, spacing):
     for eta_value, line in zip(grid, lines):
         report = semiclassics.splitting_report(from_eta(float(eta_value)))
         assert line == ",".join(map(repr, astuple(report)))
+
+
+@pytest.mark.parametrize("spacing", ["linear", "log"])
+def test_sweep_rows_equal_one_row_reports(tmp_path, spacing):
+    # the batched sweep and the one-row report are the same code path: every
+    # row's bytes are those of splitting_report at that eta, across a block
+    # boundary too, whatever grid the row belongs to
+    _assert_rows_equal_one_row_reports(tmp_path, 1100, spacing)
+
+
+@pytest.mark.parametrize("steps", [1024, 1025, 2048])
+def test_sweep_block_edges_equal_one_row_reports(tmp_path, steps):
+    # each 1024-row block is written with one format: a full last block and a
+    # one-row last block hold the same bytes as the one-row reports
+    _assert_rows_equal_one_row_reports(tmp_path, steps, "linear")
+
+
+def test_sweep_runs_no_garbage_collection(tmp_path):
+    # the writer formats flat floats, so a 10^4-row sweep allocates no per-row
+    # containers for the cyclic collector to count
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        argv = ["sweep", "--steps", "10000", "--eta-min", "0.021", "--eta-max", "0.149", "--out", str(tmp_path / "gc.csv")]
+        assert main(argv) == 0
+    finally:
+        gc.callbacks.remove(count)
+    assert len(collections) <= 1, collections
 
 
 def test_sweep_log_spacing(tmp_path):
