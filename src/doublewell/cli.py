@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation mismatch, 2 usage or domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -37,16 +38,12 @@ CSV_HEADER = (
     "ln_dE_instanton,delta,ratio_corrected,ratio_uncorrected"
 )
 _COLUMNS = CSV_HEADER.split(",")
-#: one CSV row: `%r` is repr, the shortest decimal that round-trips, so files
-#: are byte-stable and parsing loses nothing; ratio_uncorrected is sqrt(e/pi)
-#: on every row, so it is rendered once, here
-_ROW_FORMAT = "%r," * (len(_COLUMNS) - 1) + repr(semiclassics.SQRT_E_OVER_PI) + "\n"
 #: rows per array pass of `sweep`.  Every block is kept until all are known to
 #: be finite (so that no partial file is written), so blocking bounds the
-#: kernel's per-pass temporaries and the writer's per-block flat float tuple:
-#: a log-spaced 10^4-row sweep in one pass peaked at 38.7 MB RSS against 30.8 MB
-#: in blocks (in a process that loads only doublewell.cli and numpy, after a
-#: 100-row warm-up sweep; Python 3.11.7, numpy 2.4.6, 2-vCPU Xeon VM)
+#: kernel's and the writer's per-pass temporaries: a log-spaced 10^4-row sweep
+#: in one pass peaked at 58.2 MB RSS against 33.9 MB in blocks (in a process
+#: that loads only doublewell.cli and numpy, after a 100-row warm-up sweep;
+#: Python 3.11.7, numpy 2.4.6, 2-vCPU Xeon VM)
 _BLOCK_ROWS = 1024
 
 #: Reference values of the corrected ratio sqrt(e/pi)*delta(eta), printed to
@@ -130,6 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+#: `main`'s parser, built once per process: each build leaves some 200 objects
+#: in reference cycles that only the cyclic garbage collector frees
+_parser = functools.cache(build_parser)
+
+
 def _load_config(path: Path | None) -> dict:
     if path is None:
         return {}
@@ -176,11 +178,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if len(bad):
             raise ValueError(f"column {_COLUMNS[bad[0][1]]} is not finite")
         blocks.append(block)
-    with open(args.out, "w", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
+    from ._shortrepr import csv_rows
+
+    # each float as repr writes it; ratio_uncorrected is sqrt(e/pi) on every
+    # row, so it is rendered once
+    line_end = repr(semiclassics.SQRT_E_OVER_PI) + "\n"
+    with open(args.out, "wb") as fh:
+        fh.write(CSV_HEADER.encode() + b"\n")
         for block in blocks:
-            # one format over flat floats: no per-row objects for the GC to track
-            fh.write((_ROW_FORMAT * len(block)) % tuple(block[:, :-1].ravel().tolist()))
+            fh.write(csv_rows(block[:, :-1], line_end))
     print(f"wrote {len(grid)} rows to {args.out}")
     return 0
 
@@ -342,8 +348,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args._config = _load_config(args.config)
         return args.func(args)

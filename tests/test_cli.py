@@ -208,14 +208,14 @@ def test_sweep_refuses_nonfinite_column(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-def _assert_rows_equal_one_row_reports(tmp_path, steps, spacing):
+def _assert_rows_equal_one_row_reports(tmp_path, steps, spacing, eta_min=0.021, eta_max=0.149):
     out = tmp_path / "rows.csv"
     argv = [
-        "sweep", "--eta-min", "0.021", "--eta-max", "0.149",
+        "sweep", "--eta-min", repr(eta_min), "--eta-max", repr(eta_max),
         "--steps", str(steps), "--spacing", spacing, "--out", str(out),
     ]
     assert main(argv) == 0
-    grid = (np.linspace if spacing == "linear" else np.geomspace)(0.021, 0.149, steps)
+    grid = (np.linspace if spacing == "linear" else np.geomspace)(eta_min, eta_max, steps)
     lines = out.read_text().splitlines()[1:]
     assert len(lines) == steps
     for eta_value, line in zip(grid, lines):
@@ -233,14 +233,31 @@ def test_sweep_rows_equal_one_row_reports(tmp_path, spacing):
 
 @pytest.mark.parametrize("steps", [1024, 1025, 2048])
 def test_sweep_block_edges_equal_one_row_reports(tmp_path, steps):
-    # each 1024-row block is written with one format: a full last block and a
+    # each 1024-row block is formatted as one array: a full last block and a
     # one-row last block hold the same bytes as the one-row reports
     _assert_rows_equal_one_row_reports(tmp_path, steps, "linear")
 
 
+def test_sweep_rows_equal_one_row_reports_where_repr_decides(tmp_path):
+    # over [0.001, 0.6] the writer hands a third of the epsilon column to repr:
+    # epsilon is below 1e-4 up to eta = 0.008 and crosses 0 near eta = 0.362, and
+    # repr writes it in exponent notation there
+    _assert_rows_equal_one_row_reports(tmp_path, 1100, "log", 0.001, 0.6)
+
+
+def test_sweep_leaves_no_cyclic_garbage(tmp_path):
+    # main reuses one parser, so a warm sweep frees everything it made by
+    # reference counting alone
+    argv = ["sweep", "--steps", "100", "--out", str(tmp_path / "warm.csv")]
+    assert main(argv) == 0
+    gc.collect()
+    assert main(argv) == 0
+    assert gc.collect() == 0
+
+
 def test_sweep_runs_no_garbage_collection(tmp_path):
-    # the writer formats flat floats, so a 10^4-row sweep allocates no per-row
-    # containers for the cyclic collector to count
+    # the writer formats whole numpy blocks, so a 10^4-row sweep allocates no
+    # per-row containers for the cyclic collector to count
     collections = []
 
     def count(phase, info):
