@@ -316,8 +316,8 @@ def _validation_checks() -> list[dict]:
         p = from_eta(e)
         try:
             de, _ = spectral.exact_splitting(p)
-        except ResolutionError:
-            checks.append(_skip(f"spectral[eta={e:g}]", "below resolution"))
+        except ResolutionError as exc:
+            checks.append(_skip(f"spectral[eta={e:g}]", f"below resolution: {exc}"))
             continue
         ratio = semiclassics.splitting_asymptotic(p) / de
         resolved.append((e, de))

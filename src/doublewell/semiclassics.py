@@ -47,9 +47,6 @@ _ETA_BOUNDARY = validity_boundary()
 #: relative rounding bound of the closed-form S and w T (held to an mpmath
 #: oracle in the tests), so ln dE = ln 2 - ln(w T) - S is good to _ROUNDING (1 + S)
 _ROUNDING = 8.0 * float(np.finfo(float).eps)
-#: the action integral is at most (pi/4) alpha^2 gamma <= (pi/4) a^3, so the
-#: WKB route is finite in float64 for every half-separation a up to this bound
-_A_MAX = float(np.finfo(float).max) ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -101,14 +98,15 @@ def _plain(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _turning_points(a, eta_value, epsilon):
-    """Inner and outer turning points, elementwise over broadcastable inputs."""
+def _turning_points(eta_value, epsilon):
+    """Inner and outer turning points in units of the half-separation a,
+    elementwise over broadcastable inputs."""
     if not np.all(1.0 + epsilon > 0.0):
         raise ValueError("energy at or below the well bottom (1 + epsilon <= 0); no level in the well")
     root = 2.0 * eta_value * np.sqrt(1.0 + epsilon)
     if not np.all(root < 1.0):
         raise ValueError("energy at or above barrier; no tunneling regime")
-    return a * np.sqrt(1.0 - root), a * np.sqrt(1.0 + root)
+    return np.sqrt(1.0 - root), np.sqrt(1.0 + root)
 
 
 def turning_points(p: WellParameters, level: PerturbedLevel) -> TurningPoints:
@@ -119,8 +117,9 @@ def turning_points(p: WellParameters, level: PerturbedLevel) -> TurningPoints:
     V - E factors as (m w^2 / (8 a^2)) (x^2 - alpha^2)(x^2 - gamma^2).
     Both are real exactly when the level is below the barrier.
     """
-    alpha, gamma = _turning_points(p.half_separation, eta_of(p), level.epsilon)
-    return TurningPoints(alpha=float(alpha), gamma=float(gamma))
+    alpha, gamma = _turning_points(eta_of(p), level.epsilon)
+    a = p.half_separation
+    return TurningPoints(alpha=float(a * alpha), gamma=float(a * gamma))
 
 
 def _agm(k: np.ndarray, k_complement: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,37 +197,28 @@ def _quadrature_integrals(alpha, gamma):
     return tuple(results)
 
 
-def _wkb_route(mass, angular_frequency, half_separation, hbar, epsilon=None) -> np.ndarray:
-    """The SplittingReport columns over broadcastable well fields, with the level
-    shift taken from `epsilon` if given: guards the validity boundary, then takes
-    S = (m w / (hbar a)) * (action integral) and T = (8 a / w) * (period integral)
-    in closed form (see _elliptic_integrals)."""
-    # numpy arithmetic from the start, so one row and a block round alike
-    mass, angular_frequency, half_separation, hbar = (
-        np.asarray(v, dtype=np.float64) for v in (mass, angular_frequency, half_separation, hbar)
-    )
-    far = half_separation > _A_MAX
-    if far.any():
-        # the eta given, in a form that stays finite where a^2 overflows
-        given = np.sqrt(hbar / (mass * angular_frequency)) / half_separation
-        raise ValueError(
-            f"eta={float(np.min(given[far]))!r} is beyond the WKB route's float64 range: "
-            f"its action integral, which scales as a^3, overflows for a > {_A_MAX:.4g}"
-        )
-    et = np.atleast_1d(np.sqrt(hbar / (mass * angular_frequency * half_separation**2)))
+def _wkb_route(eta_value, half_separation, epsilon=None) -> np.ndarray:
+    """The SplittingReport columns over an eta array, with alpha and gamma in
+    units of `half_separation` and the level shift taken from `epsilon` if
+    given: guards the validity boundary and the float64 range, then takes
+    S = (action integral) / eta^2 and w T = 8 (period integral) in closed form
+    (see _elliptic_integrals) at the turning points for a = 1."""
+    et = np.atleast_1d(eta_value)
     _check_validity(et)
+    # S <= 2/(3 eta^2), so the instanton formula's float64 guard is the route's
+    ln_instanton = ln_splitting_instanton(et)
     eps = epsilon_closed_form(et) if epsilon is None else epsilon
-    alpha, gamma = _turning_points(half_separation, et, eps)
+    alpha, gamma = _turning_points(et, eps)
     action, period = _elliptic_integrals(alpha, gamma)
-    action = mass * angular_frequency / (hbar * half_separation) * action
-    omega_t = 8.0 * half_separation * period
-    ln_delta, ln_instanton = ln_delta_factor(et), ln_splitting_instanton(et)
+    action = action / (et * et)
+    omega_t = 8.0 * period
+    ln_delta = ln_delta_factor(et)
     delta = np.exp(ln_delta)
     return np.column_stack([
         et,
         np.broadcast_to(eps, et.shape),
-        alpha,
-        gamma,
+        half_separation * alpha,
+        half_separation * gamma,
         action,
         omega_t,
         # dE = (2 hbar / T) e^{-S}
@@ -244,10 +234,7 @@ def _wkb_route(mass, angular_frequency, half_separation, hbar, epsilon=None) -> 
 
 def _one_row(p: WellParameters, level: PerturbedLevel | None = None) -> SplittingReport:
     """The report at the well p, with the WKB route taken at `level` if given."""
-    row = _wkb_route(
-        p.mass, p.angular_frequency, p.half_separation, p.hbar,
-        epsilon=None if level is None else level.epsilon,
-    )
+    row = _wkb_route(eta_of(p), p.half_separation, epsilon=None if level is None else level.epsilon)
     return SplittingReport(*row[0].tolist())
 
 
@@ -348,7 +335,10 @@ def splitting_table(eta_value) -> np.ndarray:
     eta_value = positive_real(eta_value, "eta")
     if np.ndim(eta_value) > 1:
         raise ValueError(f"eta must be a scalar or a 1-D array, got an array of shape {eta_value.shape}")
-    return _wkb_route(1.0, 1.0, 1.0 / eta_value, 1.0)
+    # 1/eta overflows only below the float64 floor that the route refuses
+    with np.errstate(over="ignore"):
+        half_separation = 1.0 / eta_value
+    return _wkb_route(eta_value, half_separation)
 
 
 def splitting_report(p: WellParameters) -> SplittingReport:

@@ -5,14 +5,14 @@ from __future__ import annotations
 import gc
 import json
 import math
+import re
 import threading
-from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import doublewell.semiclassics as semiclassics
-from doublewell import SQRT_E_OVER_PI, epsilon_closed_form, from_eta
+from doublewell import SQRT_E_OVER_PI, epsilon_closed_form
 from doublewell.cli import CSV_HEADER, REFERENCE_RATIOS, main
 
 
@@ -102,10 +102,9 @@ def test_splitting_physical_parameters(capsys):
         ["splitting", "--a", "1e-200", "--method", "instanton"],
         ["splitting", "--a", "1e200", "--method", "wkb-exact"],
         ["splitting", "--eta", "1e-200", "--method", "instanton"],
-        # wells so far apart that the WKB action integral overflows float64
-        ["splitting", "--eta", "1e-120", "--method", "wkb-exact"],
-        ["splitting", "--a", "1e120", "--method", "wkb-exact"],
+        ["splitting", "--eta", "1e-200", "--method", "wkb-exact"],
         # a subnormal hbar implies eta ~ 1e-155, where 2/(3 eta^2) overflows float64
+        ["splitting", "--a", "1", "--hbar", "1e-310", "--method", "wkb-exact"],
         ["splitting", "--a", "1", "--hbar", "1e-310", "--method", "instanton"],
         ["splitting", "--a", "1", "--hbar", "1e-310", "--method", "asymptotic"],
     ],
@@ -115,17 +114,20 @@ def test_splitting_usage_and_domain_errors(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_wkb_route_refuses_far_apart_wells_by_eta(tmp_path, capsys):
-    # the WKB kernel names the eta given instead of printing -inf (or, where
-    # a^2 overflows, reporting eta = 0); the instanton route has no such limit
-    assert main(["splitting", "--eta", "1e-120", "--method", "wkb-exact"]) == 2
-    assert "error: eta=1e-120 is beyond the WKB route's float64 range" in capsys.readouterr().err
+def test_wkb_route_reaches_the_instanton_float64_floor(tmp_path, capsys):
+    # the WKB kernel works in eta alone, so far-apart wells are refused only
+    # where the instanton exponent 2/(3 eta^2) overflows; above that floor the
+    # two routes agree to O(eta^2 ln eta)
+    for well in (["--eta", "1e-120"], ["--a", "1e120"]):
+        ln_values = []
+        for method in ("wkb-exact", "instanton"):
+            assert main(["splitting", *well, "--method", method]) == 0
+            ln_values.append(float(_parse_splitting_line(capsys.readouterr().out)["ln_dE_over_hbar_omega"]))
+        assert ln_values[0] == pytest.approx(ln_values[1], rel=1e-12)
     out = tmp_path / "never.csv"
     assert main(["sweep", "--eta-min", "1e-200", "--eta-max", "0.1", "--out", str(out)]) == 2
-    assert "error: eta=1e-200 is beyond the WKB route's float64 range" in capsys.readouterr().err
+    assert "error: eta=1e-200 is beyond the instanton formula's float64 range" in capsys.readouterr().err
     assert not out.exists()
-    assert main(["splitting", "--eta", "1e-120", "--method", "instanton"]) == 0
-    assert float(_parse_splitting_line(capsys.readouterr().out)["ln_dE_over_hbar_omega"]) < -6e239
 
 
 @pytest.mark.parametrize(
@@ -218,23 +220,23 @@ def _assert_rows_equal_one_row_reports(tmp_path, steps, spacing, eta_min=0.021, 
     grid = (np.linspace if spacing == "linear" else np.geomspace)(eta_min, eta_max, steps)
     lines = out.read_text().splitlines()[1:]
     assert len(lines) == steps
-    for eta_value, line in zip(grid, lines):
-        report = semiclassics.splitting_report(from_eta(float(eta_value)))
-        assert line == ",".join(map(repr, astuple(report)))
+    for i, line in enumerate(lines):
+        row = semiclassics.splitting_table(grid[i : i + 1])[0]
+        assert line == ",".join(map(repr, row.tolist()))
 
 
 @pytest.mark.parametrize("spacing", ["linear", "log"])
 def test_sweep_rows_equal_one_row_reports(tmp_path, spacing):
     # the batched sweep and the one-row report are the same code path: every
-    # row's bytes are those of splitting_report at that eta, across a block
-    # boundary too, whatever grid the row belongs to
+    # row's bytes are those of splitting_table at that eta alone, across a
+    # block boundary too, whatever grid the row belongs to
     _assert_rows_equal_one_row_reports(tmp_path, 1100, spacing)
 
 
 @pytest.mark.parametrize("steps", [1024, 1025, 2048])
 def test_sweep_block_edges_equal_one_row_reports(tmp_path, steps):
     # each 1024-row block is formatted as one array: a full last block and a
-    # one-row last block hold the same bytes as the one-row reports
+    # one-row last block hold the same bytes as the one-row tables
     _assert_rows_equal_one_row_reports(tmp_path, steps, "linear")
 
 
@@ -243,6 +245,40 @@ def test_sweep_rows_equal_one_row_reports_where_repr_decides(tmp_path):
     # epsilon is below 1e-4 up to eta = 0.008 and crosses 0 near eta = 0.362, and
     # repr writes it in exponent notation there
     _assert_rows_equal_one_row_reports(tmp_path, 1100, "log", 0.001, 0.6)
+
+
+def test_default_sweep_eta_column_is_the_grid(tmp_path):
+    # the kernel takes eta as given, so the column parses back to the grid exactly
+    out = tmp_path / "default.csv"
+    assert main(["sweep", "--out", str(out)]) == 0
+    etas = [row["eta"] for row in _read_rows(out)]
+    assert etas == np.linspace(0.02, 0.15, 100).tolist()
+
+
+def test_sweep_columns_match_closed_forms(tmp_path):
+    # the columns that no other test holds to a formula, each from math alone:
+    # eps = (eta^2/16)(25 - 189 eta^2), turning points (1/eta) sqrt(1 -+ 2 eta sqrt(1+eps)),
+    # ln delta = -ln(1+eps)/2 + eps/2 - eps ln(eta sqrt(1+eps)/4), and the
+    # asymptotic log = instanton log + ln sqrt(e/pi) + ln delta
+    out = tmp_path / "log10k.csv"
+    argv = ["sweep", "--steps", "10000", "--spacing", "log", "--eta-min", "0.021", "--eta-max", "0.149", "--out", str(out)]
+    assert main(argv) == 0
+    for r in _read_rows(out):
+        e = r["eta"]
+        eps = e * e / 16.0 * (25.0 - 189.0 * e * e)
+        root = 2.0 * e * math.sqrt(1.0 + eps)
+        ln_delta = -0.5 * math.log1p(eps) + 0.5 * eps - eps * math.log(e * math.sqrt(1.0 + eps) / 4.0)
+        ln_instanton = math.log(4.0 / (math.sqrt(math.pi) * e)) - 2.0 / (3.0 * e * e)
+        want = {
+            "epsilon": eps,
+            "alpha": math.sqrt(1.0 - root) / e,
+            "gamma": math.sqrt(1.0 + root) / e,
+            "delta": math.exp(ln_delta),
+            "ratio_corrected": math.sqrt(math.e / math.pi) * math.exp(ln_delta),
+            "ln_dE_asym": ln_instanton + 0.5 * (1.0 - math.log(math.pi)) + ln_delta,
+        }
+        for name, value in want.items():
+            assert r[name] == pytest.approx(value, rel=1e-14), (e, name)
 
 
 def test_sweep_leaves_no_cyclic_garbage(tmp_path):
@@ -398,7 +434,9 @@ def test_validate_json_shape(capsys):
     # the deepest doublet is below 64-bit resolution and must be skipped,
     # not silently passed
     assert by_name["spectral[eta=0.14]"]["status"] == "skipped"
-    assert "below resolution" in by_name["spectral[eta=0.14]"]["detail"]
+    # and the skip says by how much the doublet missed
+    detail = by_name["spectral[eta=0.14]"]["detail"]
+    assert re.fullmatch(r"below resolution: .*dE=\S+, estimate=\S+ \(need dE > 10x estimate\)", detail)
     for eta_value in ("0.16", "0.18", "0.2"):
         assert by_name[f"spectral[eta={eta_value}]"]["status"] == "pass"
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from dataclasses import fields
 
 import mpmath
 import numpy as np
@@ -101,9 +102,10 @@ def test_closed_form_matches_mpmath_oracle():
         np.linspace(0.01, 0.6, 200, endpoint=False),
         np.linspace(0.6, 0.6037523990662, 30),
     ])
-    half_separation = 1.0 / etas
     table = splitting_table(etas)
-    integrals = semiclassics._elliptic_integrals(table[:, 2], table[:, 3])
+    # the route's own turning points, for a = 1
+    turning = semiclassics._turning_points(etas, table[:, 1])
+    integrals = semiclassics._elliptic_integrals(*turning)
 
     def exact_integrals(al, ga):
         m = (al / ga) ** 2
@@ -111,21 +113,24 @@ def test_closed_form_matches_mpmath_oracle():
         return ga / 3 * bracket, mpmath.ellipk(1 - m) / (2 * ga)
 
     with mpmath.workdps(40):
-        for row, a, action_integral, period_integral in zip(table, half_separation, *integrals):
-            closed = exact_integrals(mpmath.mpf(row[2]), mpmath.mpf(row[3]))
+        for row, eta_value, al, ga, action_integral, period_integral in zip(table, etas, *turning, *integrals):
+            closed = exact_integrals(mpmath.mpf(al), mpmath.mpf(ga))
             assert abs(action_integral - closed[0]) <= 1e-15 * closed[0]
             assert abs(period_integral - closed[1]) <= 1e-15 * closed[1]
 
-            a_mp = mpmath.mpf(a)
-            eta_mp = 1 / a_mp
+            eta_mp = mpmath.mpf(eta_value)
             eps = eta_mp**2 / 16 * (25 - 189 * eta_mp**2)
             root = 2 * eta_mp * mpmath.sqrt(1 + eps)
-            action, period = exact_integrals(a_mp * mpmath.sqrt(1 - root), a_mp * mpmath.sqrt(1 + root))
-            exact_action, exact_omega_t = action / a_mp, 8 * a_mp * period
+            action, period = exact_integrals(mpmath.sqrt(1 - root), mpmath.sqrt(1 + root))
+            exact_action, exact_omega_t = action / eta_mp**2, 8 * period
             assert abs(row[4] - exact_action) <= 4e-15 * exact_action
             assert abs(row[5] - exact_omega_t) <= 4e-15 * exact_omega_t
             exact_ln_de = mpmath.log(2) - mpmath.log(exact_omega_t) - exact_action
-            ln_value, estimate = ln_splitting_wkb_exact(WellParameters(half_separation=a))
+            # a well at exactly this eta: with m = w = a = 1, eta = sqrt(hbar),
+            # and sqrt(x * x) == x in binary floating point
+            p = WellParameters(hbar=eta_value * eta_value)
+            assert eta(p) == eta_value
+            ln_value, estimate = ln_splitting_wkb_exact(p)
             assert ln_value == row[6]
             assert abs(ln_value - exact_ln_de) <= estimate
 
@@ -197,12 +202,29 @@ def test_splitting_table_of_no_eta_has_no_rows():
     assert splitting_table(np.array([])).shape == (0, 12)
 
 
-@pytest.mark.parametrize("tiny", [1e-120, 1e-200])
+def test_splitting_table_eta_column_is_the_grid():
+    # the kernel works in eta alone, so it never rounds eta through a = 1/eta
+    for grid in (np.linspace(0.021, 0.149, 10000), np.geomspace(0.001, 0.6, 10000)):
+        assert np.array_equal(splitting_table(grid)[:, 0], grid)
+
+
+def test_splitting_table_finite_down_to_the_instanton_floor():
+    # S <= 2/(3 eta^2), so the WKB route is finite wherever the instanton
+    # exponent is: at the smallest eta its guard accepts and the 200 floats above
+    floor = [6.089709706418965e-155]
+    for _ in range(200):
+        floor.append(float(np.nextafter(floor[-1], 1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(splitting_table(np.array(floor))).all()
+
+
+@pytest.mark.parametrize("tiny", [6.089709706418964e-155, 1e-200, 1e-310])
 def test_splitting_table_refuses_eta_beyond_float64_range(tiny):
-    # the action integral (~a^3) would overflow below eta ~ 1.8e-103, and a^2
-    # itself below eta ~ 7.5e-155; both are refused by the eta given, without
-    # a RuntimeWarning (the suite turns those into errors)
-    with pytest.raises(ValueError, match=f"^eta={tiny!r} is beyond the WKB route's float64 range"):
+    # below eta ~ 6.09e-155 the instanton exponent 2/(3 eta^2), which bounds
+    # S, overflows: the eta given is refused by that one guard, without a
+    # RuntimeWarning (the suite turns those into errors), also where 1/eta overflows
+    with pytest.raises(ValueError, match=f"^eta={tiny!r} is beyond the instanton formula's float64 range"):
         splitting_table(np.array([0.1, tiny]))
 
 
@@ -414,6 +436,28 @@ def test_report_scale_invariance():
             ), field
         assert other.alpha / p.half_separation == pytest.approx(base.alpha / 10.0, rel=1e-10)
         assert other.gamma / p.half_separation == pytest.approx(base.gamma / 10.0, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        from_eta(0.02), from_eta(0.1), from_eta(0.5),
+        WellParameters(2.0, 0.5, 10.0, 1.0),
+        WellParameters(4.0, 0.5, math.sqrt(50.0), 1.0),
+        WellParameters(1.5, 3.0, 7.0, 0.2),
+    ],
+)
+def test_report_is_the_table_row_at_its_eta(p):
+    # the route sees a well only through eta(p): every dimensionless field is the
+    # one-row table's, bit for bit, and the turning points are a times those for a = 1
+    report = splitting_report(p)
+    names = [field.name for field in fields(semiclassics.SplittingReport)]
+    for name, value in zip(names, splitting_table([eta(p)])[0].tolist()):
+        if name not in ("alpha", "gamma"):
+            assert getattr(report, name) == value, name
+    alpha, gamma = semiclassics._turning_points(eta(p), report.epsilon)
+    assert report.alpha == p.half_separation * alpha
+    assert report.gamma == p.half_separation * gamma
 
 
 def test_report_deterministic():
