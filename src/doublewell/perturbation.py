@@ -1,10 +1,13 @@
 """Anharmonic shift of the ground level in one well.
 
 Near a minimum the well is a harmonic oscillator of frequency w plus cubic
-and quartic corrections.  This module provides the closed-form fractional
-shift eps(eta) of the ground level and, independently, a finite
+and quartic corrections.  This module provides the paper's closed-form
+fractional shift eps(eta) of the ground level and, independently, a finite
 Rayleigh-Schrodinger engine over oscillator number states that re-derives
-it from exact ladder-operator matrix elements.
+it from exact ladder-operator matrix elements.  There is one coefficient set,
+the paper's, so eps is the paper's algebra, not the physical shift: it is
+positive below eta ~ 0.364, while E0 + E1 - 1 from spectral.solve_spectrum
+(natural units) is negative at every eta measured, 0.02 to 0.3.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import WellParameters, eta as eta_of, finite_scalar, from_eta, positive_real
+from .model import WellParameters, eta as eta_of, finite_scalar, from_eta, positive_real, whole_number
 
 __all__ = [
     "AnharmonicExpansion",
@@ -27,13 +30,6 @@ __all__ = [
     "validity_boundary",
 ]
 
-#: Coefficient modes understood by perturbed_level / epsilon_series_coefficients.
-#: "standard" is the convention the splitting correction factor is built on
-#: (quartic coefficient 3*c2/a^2); "taylor" is the direct series expansion of
-#: the potential about its minimum (quartic coefficient c2/(4 a^2)).  The two
-#: differ by a factor 12 in the quartic term; see AnharmonicExpansion.
-MODES = ("standard", "taylor")
-
 #: oscillator states |0> .. |4> of the engine: all that y^3 and y^4 reach from |0>
 _STATES = 5
 
@@ -44,6 +40,7 @@ class AnharmonicExpansion:
 
     `params` fixes the harmonic term, the oscillator scale hbar/(2 m w) and
     the level spacing hbar*w; only the two anharmonic coefficients are free.
+    The one named set is the paper's, `standard`.
     """
 
     params: WellParameters
@@ -58,7 +55,8 @@ class AnharmonicExpansion:
 
     @classmethod
     def standard(cls, p: WellParameters) -> "AnharmonicExpansion":
-        """Coefficient set underlying the correction factor delta: quartic 3*c2/a^2.
+        """The paper's set, which delta is built on: quartic 3*c2/a^2, 12x the
+        potential's own Taylor coefficient c2/(4 a^2), with c2 = m w^2 / 2.
 
         Its second-order ground shift is exactly (eta^2/16)(25 - 189 eta^2),
         i.e. epsilon_closed_form.
@@ -66,14 +64,6 @@ class AnharmonicExpansion:
         c2 = 0.5 * p.mass * p.angular_frequency**2
         a = p.half_separation
         return cls(params=p, cubic=c2 / a, quartic=3.0 * c2 / (a * a))
-
-    @classmethod
-    def taylor(cls, p: WellParameters) -> "AnharmonicExpansion":
-        """Direct series of V about x = a: V = c2 u^2 (1 + u/(2a))^2 expanded,
-        giving cubic c2/a and quartic c2/(4 a^2)."""
-        c2 = 0.5 * p.mass * p.angular_frequency**2
-        a = p.half_separation
-        return cls(params=p, cubic=c2 / a, quartic=c2 / (4.0 * a * a))
 
 
 @dataclass(frozen=True)
@@ -127,7 +117,7 @@ def rs_engine(expansion: AnharmonicExpansion, order: int = 2) -> float:
     order 1: <0|H'|0>.  order 2: adds sum_k |<k|H'|0>|^2 / (E0 - Ek) with
     E0 - Ek = -k hbar w.  The sum is finite (k <= 4) and exact.
     """
-    if order not in (1, 2):
+    if whole_number(order, "order", 1) > 2:
         raise ValueError(f"order must be 1 or 2, got {order!r}")
     amp_cubic, amp_quartic = transition_amplitudes(expansion)
     p = expansion.params
@@ -140,34 +130,30 @@ def rs_engine(expansion: AnharmonicExpansion, order: int = 2) -> float:
     return float(shift / (0.5 * hw))
 
 
-def perturbed_level(p: WellParameters, mode: str = "standard") -> PerturbedLevel:
-    """Ground level of one well with the second-order anharmonic shift.
+def perturbed_level(p: WellParameters) -> PerturbedLevel:
+    """Ground level of one well with the paper's shift, epsilon_closed_form.
 
-    mode "standard" evaluates the closed form; mode "taylor" runs the
-    engine on the direct-series coefficients.  Below validity_boundary() the
-    standard level lies under the barrier; routes that need that guard it.
+    Its eps is positive below eta ~ 0.364; the physical shift is negative.
+    Below validity_boundary() the level lies under the barrier; routes that
+    need that guard it.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "standard":
-        eps = epsilon_closed_form(eta_of(p))
-    else:
-        eps = rs_engine(AnharmonicExpansion.taylor(p), order=2)
+    eps = epsilon_closed_form(eta_of(p))
     return PerturbedLevel(unperturbed=0.5 * p.hbar * p.angular_frequency, epsilon=eps)
 
 
 def epsilon_series_coefficients(mode: str = "standard") -> tuple[float, float]:
-    """Coefficients (A, B) of the engine's shift eps = A eta^2 + B eta^4, read
-    by order from the engine at eta = 1, where each term equals its coefficient.
+    """Coefficients (A, B) of the engine's shift eps = A eta^2 + B eta^4 for
+    the paper's set, read by order from the engine at eta = 1, where each
+    term equals its coefficient.  `mode` names the set; the paper's is the
+    only one, and the argument stays for callers that name it.
 
     B is the quartic term's second-order part; A is the rest, first order plus
     the cubic second order.  No cross term enters: the cubic term reaches only
     odd states and the quartic only even ones.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    build = AnharmonicExpansion.standard if mode == "standard" else AnharmonicExpansion.taylor
-    expansion = build(from_eta(1.0))
+    if mode != "standard":
+        raise ValueError(f'mode must be "standard", got {mode!r}')
+    expansion = AnharmonicExpansion.standard(from_eta(1.0))
     quartic_only = replace(expansion, cubic=0.0)
     b = rs_engine(quartic_only, 2) - rs_engine(quartic_only, 1)
     return rs_engine(expansion, 2) - b, b

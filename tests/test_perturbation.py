@@ -76,10 +76,12 @@ def test_engine_second_order_cubic_term():
 
 def test_engine_rejects_small_truncation():
     # the basis is fixed at the five states that hold every amplitude, so
-    # only an unsupported order is left to refuse
+    # only an unsupported order is left to refuse: above 2, below 1, or not
+    # a whole number (a flag is not the number 1)
     expansion = AnharmonicExpansion.standard(from_eta(0.1))
-    with pytest.raises(ValueError):
-        rs_engine(expansion, order=3)
+    for bad in (3, True, "2", None, 1.5, 0):
+        with pytest.raises(ValueError, match="^order "):
+            rs_engine(expansion, order=bad)
 
 
 def test_parity_selection_rules():
@@ -114,10 +116,20 @@ def test_series_coefficients_standard():
     a2, a4 = epsilon_series_coefficients("standard")
     assert abs(a2 - 25.0 / 16.0) <= 8 * math.ulp(25.0 / 16.0)
     assert abs(a4 - (-189.0 / 16.0)) <= 8 * math.ulp(189.0 / 16.0)
+    # the paper's set is the only one
+    with pytest.raises(ValueError, match="standard"):
+        epsilon_series_coefficients("taylor")
 
 
 def test_series_coefficients_taylor():
-    a2, a4 = epsilon_series_coefficients("taylor")
+    # the engine on a set other than the paper's: the potential's own Taylor
+    # coefficients about x = a, cubic c2/a and quartic c2/(4 a^2), at a = 1.
+    # Orders are read as epsilon_series_coefficients reads them; -21/256 is
+    # the quartic's second-order part only, not the physical eta^4 term
+    expansion = AnharmonicExpansion(params=from_eta(1.0), cubic=0.5, quartic=0.125)
+    quartic_only = dataclasses.replace(expansion, cubic=0.0)
+    a4 = rs_engine(quartic_only, 2) - rs_engine(quartic_only, 1)
+    a2 = rs_engine(expansion, 2) - a4
     assert abs(a2 - (-0.5)) <= 8 * math.ulp(0.5)
     assert abs(a4 - (-21.0 / 256.0)) <= 8 * math.ulp(21.0 / 256.0)
 
@@ -137,18 +149,10 @@ def test_perturbed_level_value():
     assert level.energy == level.unperturbed * (1.0 + level.epsilon)
 
 
-def test_perturbed_level_taylor_mode():
-    level = perturbed_level(from_eta(0.15), mode="taylor")
-    expected = -0.5 * 0.15**2 - 21.0 / 256.0 * 0.15**4
-    assert level.epsilon == pytest.approx(expected, rel=1e-10)
-    with pytest.raises(ValueError):
-        perturbed_level(from_eta(0.15), mode="other")
-
-
 def test_engine_and_taylor_level_return_plain_floats():
     # a numpy scalar would leak into the level's repr as np.float64(...)
     assert type(rs_engine(AnharmonicExpansion.standard(from_eta(0.15)))) is float
-    assert type(perturbed_level(from_eta(0.15), mode="taylor").epsilon) is float
+    assert type(perturbed_level(from_eta(0.15)).epsilon) is float
 
 
 def test_perturbed_level_small_eta_is_harmonic():
@@ -242,12 +246,3 @@ def test_expansion_validation():
             AnharmonicExpansion(params=p, cubic=bad, quartic=1.0)
     with pytest.raises(ValueError, match="^params "):
         AnharmonicExpansion(params=None, cubic=1.0, quartic=1.0)
-
-
-def test_expansion_mode_quartic_ratio():
-    # the two conventions share c3 but differ by 12x in the quartic
-    p = from_eta(0.1)
-    std = AnharmonicExpansion.standard(p)
-    tay = AnharmonicExpansion.taylor(p)
-    assert std.cubic == tay.cubic
-    assert std.quartic == pytest.approx(12.0 * tay.quartic, rel=1e-15)
