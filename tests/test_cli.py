@@ -460,6 +460,7 @@ def test_corrupted_correction_factor_is_caught(monkeypatch, capsys):
     assert payload["passed"] is False
     by_name = {c["name"]: c for c in payload["checks"]}
     assert by_name["reference-table"]["status"] == "fail"
+    assert by_name["reference-table"]["value"] > by_name["reference-table"]["bound"]
 
 
 def test_unconverged_quadrature_reference_fails_validate(monkeypatch, capsys):
@@ -477,3 +478,69 @@ def test_unconverged_quadrature_reference_fails_validate(monkeypatch, capsys):
     by_name = {c["name"]: c for c in payload["checks"]}
     assert by_name["quadrature-convergence"]["status"] == "fail"
     assert "2.000e-10 > 1e-10" in by_name["quadrature-convergence"]["detail"]
+    # the 16 -> 32-node change in units of its 1e-10 limit
+    assert by_name["quadrature-convergence"]["value"] == 2.0
+    assert by_name["quadrature-convergence"]["bound"] == 1.0
+
+
+def _nan_period(original):
+    def patched(alpha, gamma):
+        action, period = original(alpha, gamma)
+        period = np.array(period, dtype=float)
+        period.flat[0] = math.nan
+        return action, period
+
+    return patched
+
+
+def _nan_at(original, nan_eta):
+    return lambda eta_value: math.nan if eta_value == nan_eta else original(eta_value)
+
+
+#: check -> (semiclassics attribute, wrapper that makes one of its samples NaN)
+_NAN_INJECTIONS = {
+    # one NaN period among the seven closed-form integrals
+    "quadrature-convergence": ("_elliptic_integrals", _nan_period),
+    # a NaN correction factor at one reference-table row
+    "reference-table": ("delta_factor", lambda f: _nan_at(f, 0.13)),
+    # a NaN ratio at one point of the consistency-triangle grid
+    "consistency-triangle": ("ratio_wkb_instanton", lambda f: _nan_at(f, float(np.linspace(0.02, 0.3, 20)[5]))),
+}
+
+
+@pytest.mark.parametrize("check", list(_NAN_INJECTIONS))
+def test_nan_sample_fails_validate(monkeypatch, capsys, check):
+    attribute, wrap = _NAN_INJECTIONS[check]
+    # np.max keeps a NaN sample that max() would drop, and NaN <= bound is false
+    monkeypatch.setattr(semiclassics, attribute, wrap(getattr(semiclassics, attribute)))
+
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    assert main(["validate", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert payload["passed"] is False
+    by_name = {c["name"]: c for c in payload["checks"]}
+    assert by_name[check]["status"] == "fail"
+    # a non-finite value is written as null
+    assert by_name[check]["value"] is None
+
+    assert main(["validate"]) == 1
+    assert f"FAIL    {check}: " in capsys.readouterr().out
+
+
+def test_validate_status_follows_value_and_bound(capsys):
+    assert main(["validate", "--json"]) == 0
+    records = json.loads(capsys.readouterr().out)["checks"]
+    assert main(["validate"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for record in records:
+        assert list(record) == ["name", "status", "detail", "value", "bound"]
+        value, bound = record["value"], record["bound"]
+        if bound is None:
+            assert value is None and record["status"] == "skipped"
+        else:
+            # a null value is a non-finite one, which fails
+            assert record["status"] == ("pass" if value is not None and value <= bound else "fail")
+    assert lines[:-1] == [f"{r['status'].upper():7s} {r['name']}: {r['detail']}" for r in records]
+    assert lines[-1] == "all checks passed"
