@@ -60,33 +60,22 @@ REFERENCE_RATIOS: tuple[tuple[float, float], ...] = (
     (0.15, 1.02349),
 )
 
-_BUILTIN_DEFAULTS = {
-    "spacing": "linear",
-    "steps": 100,
-    "jobs": 1,
-    "eta_min": 0.02,
-    "eta_max": 0.15,
-}
 
-
-def _sweep_grid(options: dict) -> np.ndarray:
+def _sweep_grid(args: argparse.Namespace) -> np.ndarray:
     """The ascending eta grid of a sweep request, after checking its options.
 
     The validity boundary is checked here, before any block is computed, not
     left to the kernel's guard, which would fire only at the first block past it.
     """
-    eta_min, eta_max = (positive_scalar(options[name], name) for name in ("eta_min", "eta_max"))
-    spacing = options["spacing"]
-    if spacing not in ("linear", "log"):
-        raise ValueError(f"spacing must be 'linear' or 'log', got {spacing!r}")
-    steps = whole_number(options["steps"], "steps", 2)
+    eta_min, eta_max = (positive_scalar(getattr(args, name), name) for name in ("eta_min", "eta_max"))
+    steps = whole_number(args.steps, "steps", 2)
     boundary = validity_boundary()
     if not eta_min < eta_max < boundary:
         raise ValueError(
             f"need 0 < eta_min < eta_max < {boundary:.6f} (validity boundary), "
             f"got eta_min={eta_min!r}, eta_max={eta_max!r}"
         )
-    return (np.linspace if spacing == "linear" else np.geomspace)(eta_min, eta_max, steps)
+    return (np.linspace if args.spacing == "linear" else np.geomspace)(eta_min, eta_max, steps)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,19 +83,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="doublewell",
         description="Tunneling splitting of the symmetric quartic double well, three ways.",
     )
-    ap.add_argument("--config", type=Path, default=None, help="JSON file with default option values")
     sub = ap.add_subparsers(dest="command", required=True)
 
     t1 = sub.add_parser("table1", help="print and verify the corrected-ratio reference table")
     t1.set_defaults(func=cmd_table1)
 
     sw = sub.add_parser("sweep", help="write ratio curves over an eta grid as CSV")
-    sw.add_argument("--eta-min", dest="eta_min", type=float, default=None)
-    sw.add_argument("--eta-max", dest="eta_max", type=float, default=None)
-    sw.add_argument("--steps", type=int, default=None)
-    sw.add_argument("--spacing", choices=("linear", "log"), default=None)
+    sw.add_argument("--eta-min", dest="eta_min", type=float, default=0.02)
+    sw.add_argument("--eta-max", dest="eta_max", type=float, default=0.15)
+    sw.add_argument("--steps", type=int, default=100)
+    sw.add_argument("--spacing", choices=("linear", "log"), default="linear")
     sw.add_argument("--out", type=Path, required=True, help="output CSV path")
-    sw.add_argument("--jobs", type=int, default=None, help="accepted for compatibility; evaluation is sequential")
+    sw.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; evaluation is sequential")
     sw.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("splitting", help="one splitting at one parameter point")
@@ -133,23 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _load_config(path: Path | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ValueError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    unknown = set(raw) - set(_BUILTIN_DEFAULTS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return raw
-
-
 def cmd_table1(args: argparse.Namespace) -> int:
     mismatches = []
     print(f"{'eta':>10}  {'ratio':>8}  {'reference':>9}  status")
@@ -167,11 +138,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    # option precedence: command-line flag > config file > built-in default
-    flags = {key: getattr(args, key) for key in _BUILTIN_DEFAULTS if getattr(args, key) is not None}
-    options = {**_BUILTIN_DEFAULTS, **args._config, **flags}
-    grid = _sweep_grid(options)
-    whole_number(options["jobs"], "jobs", 1)
+    grid = _sweep_grid(args)
+    whole_number(args.jobs, "jobs", 1)
     blocks = []
     for first in range(0, len(grid), _BLOCK_ROWS):
         block = semiclassics.splitting_table(grid[first : first + _BLOCK_ROWS])
@@ -211,14 +179,16 @@ def _well_from_args(args: argparse.Namespace) -> WellParameters:
 
 def cmd_splitting(args: argparse.Namespace) -> int:
     p = _well_from_args(args)
-    et = eta_of(p)
+    # a well given by --eta is computed at that eta: eta(from_eta(x)) may be 1 ulp from x
+    et = eta_of(p) if args.eta is None else args.eta
     hw = p.hbar * p.angular_frequency
     if args.method == "spectral":
         value, absolute = spectral.exact_splitting(p)
         ln_value, estimate = math.log(value / hw), absolute / value
     else:
         if args.method == "wkb-exact":
-            ln_value, estimate = semiclassics.ln_splitting_wkb_exact(p)
+            row = semiclassics.SplittingReport(*semiclassics.splitting_table(et)[0].tolist())
+            ln_value, estimate = row.ln_de_wkb, semiclassics._ROUNDING * (1.0 + row.action)
         elif args.method == "asymptotic":
             ln_value, estimate = semiclassics.ln_splitting_asymptotic(et), 0.0
         else:
@@ -350,7 +320,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        args._config = _load_config(args.config)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

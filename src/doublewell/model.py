@@ -9,6 +9,7 @@ only through eta = sqrt(hbar / (m w a^2)).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,12 +120,21 @@ def eta(p: WellParameters) -> float:
     return math.sqrt(p.hbar / (p.mass * p.angular_frequency * p.half_separation**2))
 
 
+#: 1/sqrt(max float64): the smallest eta whose natural-units well has a finite a^2 = 1/eta^2
+_ETA_FLOOR = 1.0 / math.sqrt(sys.float_info.max)
+
+
 def from_eta(value: float) -> WellParameters:
     """Natural-units parameters (m = w = hbar = 1) with the requested eta.
 
     In natural units eta = 1/a, so only the half-separation is nontrivial.
     """
     value = positive_scalar(value, "eta")
+    if value < _ETA_FLOOR:
+        raise ValueError(
+            f"eta must be >= {_ETA_FLOOR!r} for its natural-units well (a = 1/eta) "
+            f"to hold a^2 in float64, got {value!r}"
+        )
     return WellParameters(mass=1.0, angular_frequency=1.0, half_separation=1.0 / value, hbar=1.0)
 
 

@@ -1,4 +1,5 @@
-"""Command-line interface: subcommands, exit codes, CSV output, config."""
+"""Command-line interface: subcommands, exit codes, CSV output, and the
+checks on each flag."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import doublewell.semiclassics as semiclassics
-from doublewell import SQRT_E_OVER_PI, epsilon_closed_form
+from doublewell import SQRT_E_OVER_PI, epsilon_closed_form, eta, from_eta
 from doublewell.cli import CSV_HEADER, REFERENCE_RATIOS, main
 
 
@@ -82,6 +83,22 @@ def test_splitting_spectral_resolved(capsys):
 def test_splitting_spectral_unresolvable_is_numerical_failure(capsys):
     assert main(["splitting", "--eta", "0.05", "--method", "spectral"]) == 3
     assert "below numerical resolution" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["wkb-exact", "asymptotic", "instanton"])
+def test_splitting_computes_at_the_eta_given(method, capsys):
+    # the natural-units well a = 1/0.122513 implies an eta 1 ulp below 0.122513,
+    # the paper's crossing; the formula routes take the eta as given
+    assert eta(from_eta(0.122513)) != 0.122513
+    route = {
+        "wkb-exact": lambda e: semiclassics.splitting_table(e)[0, CSV_HEADER.split(",").index("ln_dE_wkb")],
+        "asymptotic": semiclassics.ln_splitting_asymptotic,
+        "instanton": semiclassics.ln_splitting_instanton,
+    }[method]
+    assert main(["splitting", "--eta", "0.122513", "--method", method]) == 0
+    fields = _parse_splitting_line(capsys.readouterr().out)
+    assert fields["eta"] == "0.122513"
+    assert float(fields["ln_dE_over_hbar_omega"]) == route(0.122513)
 
 
 def test_splitting_physical_parameters(capsys):
@@ -327,90 +344,42 @@ def test_sweep_log_spacing(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["sweep", "--eta-min", "0.1", "--eta-max", "0.7", "--out", "ignored.csv"],
-        ["sweep", "--eta-min", "0.2", "--eta-max", "0.1", "--out", "ignored.csv"],
-        ["sweep", "--steps", "1", "--out", "ignored.csv"],
-        ["sweep", "--jobs", "0", "--out", "ignored.csv"],
-        ["sweep", "--eta-min", "0", "--out", "ignored.csv"],
-        ["sweep", "--eta-min", "-0.1", "--out", "ignored.csv"],
+        ["sweep", "--eta-min", "0.1", "--eta-max", "0.7", "--out", "never.csv"],
+        ["sweep", "--eta-min", "0.2", "--eta-max", "0.1", "--out", "never.csv"],
+        ["sweep", "--steps", "1", "--out", "never.csv"],
+        ["sweep", "--jobs", "0", "--out", "never.csv"],
+        ["sweep", "--eta-min", "0", "--out", "never.csv"],
+        ["sweep", "--eta-min", "-0.1", "--out", "never.csv"],
         ["sweep", "--out", "/nonexistent-dir/out.csv"],
+        # argparse converts these, so the model's checks must refuse them
+        ["sweep", "--eta-min", "nan", "--out", "never.csv"],
+        ["sweep", "--eta-max", "inf", "--out", "never.csv"],
+        ["sweep", "--steps", "0", "--out", "never.csv"],
+        ["sweep", "--jobs", "-1", "--out", "never.csv"],
     ],
 )
-def test_sweep_rejects_bad_requests(argv, capsys):
+def test_sweep_rejects_bad_requests(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
-
-
-def test_config_file_supplies_defaults(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"steps": 7, "eta_min": 0.05, "eta_max": 0.12}))
-    out = tmp_path / "from_config.csv"
-    assert main(["--config", str(cfg), "sweep", "--out", str(out)]) == 0
-    rows = _read_rows(out)
-    assert len(rows) == 7
-    assert rows[0]["eta"] == pytest.approx(0.05)
-    assert rows[-1]["eta"] == pytest.approx(0.12)
-
-
-def test_flag_overrides_config(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"steps": 7}))
-    out = tmp_path / "overridden.csv"
-    assert main(["--config", str(cfg), "sweep", "--steps", "9", "--out", str(out)]) == 0
-    assert len(_read_rows(out)) == 9
-
-
-@pytest.mark.parametrize(
-    "payload",
-    [
-        json.dumps({"stepz": 7}),
-        "{nope",
-        json.dumps([1, 2, 3]),
-        json.dumps({"steps": 7.9}),
-        json.dumps({"jobs": 0.5}),
-        json.dumps({"tol": 1e-10}),
-        json.dumps({"eta_min": None}),
-        json.dumps({"eta_max": {}}),
-        # numeric keys take JSON numbers only, never strings or bools, and
-        # spacing takes a string only
-        json.dumps({"eta_min": "0.05"}),
-        json.dumps({"eta_max": "0.1"}),
-        json.dumps({"steps": "7"}),
-        json.dumps({"eta_min": True}),
-        json.dumps({"steps": True}),
-        json.dumps({"spacing": 3}),
-        pytest.param('{"steps": 1' + "0" * 400 + "}", id="steps-beyond-float64"),
-        # every numeric key goes through the model's checks
-        json.dumps({"eta_min": 0}),
-        json.dumps({"eta_min": -0.05}),
-        json.dumps({"eta_min": [0.05]}),
-        json.dumps({"steps": 0}),
-        json.dumps({"jobs": 0}),
-    ],
-)
-def test_config_file_rejected(tmp_path, payload, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(payload)
-    out = tmp_path / "never.csv"
-    assert main(["--config", str(cfg), "sweep", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "error:" in err
-    if payload.startswith("{\""):
-        assert next(iter(json.loads(payload))) in err  # the message names the key
-    assert not out.exists()
+    assert err.startswith("error:")
+    # the message names every option given but --out, by its key
+    for flag in argv[1::2]:
+        if flag != "--out":
+            assert flag[2:].replace("-", "_") in err
+    assert not any(tmp_path.iterdir())
 
 
-def test_config_null_is_named_as_given(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"eta_min": None}))
-    assert main(["--config", str(cfg), "sweep", "--out", str(tmp_path / "never.csv")]) == 2
-    assert "eta_min must be a real number, got None" in capsys.readouterr().err
-
-
-def test_missing_config_file(tmp_path, capsys):
-    out = tmp_path / "never.csv"
-    assert main(["--config", str(tmp_path / "absent.json"), "sweep", "--out", str(out)]) == 2
-    assert "config file not found" in capsys.readouterr().err
+def test_config_option_is_gone(tmp_path, monkeypatch):
+    # sweep options are flags only: a --config file is an argparse usage error
+    # for every subcommand, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.json").write_text(json.dumps({"steps": 7}))
+    for command in (["sweep", "--out", "x.csv"], ["table1"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--config", "f.json", *command])
+        assert excinfo.value.code == 2
+    assert [path.name for path in tmp_path.iterdir()] == ["f.json"]
 
 
 def test_validate_passes(capsys):

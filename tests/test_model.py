@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -107,6 +108,15 @@ def test_from_eta_round_trip(value: float):
 def test_from_eta_rejects_nonpositive(bad):
     with pytest.raises(ValueError):
         from_eta(bad)
+
+
+def test_from_eta_names_eta_below_its_floor():
+    # below 1/sqrt(max float64) the natural-units well's a^2 = 1/eta^2 overflows
+    floor = 1.0 / math.sqrt(sys.float_info.max)
+    assert 0.0 < eta(from_eta(floor)) < math.inf
+    for value in (math.nextafter(floor, 0.0), 7e-155, 1e-320):
+        with pytest.raises(ValueError, match=f"^eta must be >= {floor!r} .*, got {re.escape(repr(value))}$"):
+            from_eta(value)
 
 
 def test_from_eta_refuses_an_array_as_eta():
