@@ -177,6 +177,10 @@ def _well_from_args(args: argparse.Namespace) -> WellParameters:
     )
 
 
+#: the SplittingReport field that holds each formula method's ln(dE / hbar w)
+_LN_FIELDS = {"wkb-exact": "ln_de_wkb", "asymptotic": "ln_de_asym", "instanton": "ln_de_instanton"}
+
+
 def cmd_splitting(args: argparse.Namespace) -> int:
     p = _well_from_args(args)
     # a well given by --eta is computed at that eta: eta(from_eta(x)) may be 1 ulp from x
@@ -186,13 +190,10 @@ def cmd_splitting(args: argparse.Namespace) -> int:
         value, absolute = spectral.exact_splitting(p)
         ln_value, estimate = math.log(value / hw), absolute / value
     else:
-        if args.method == "wkb-exact":
-            row = semiclassics.SplittingReport(*semiclassics.splitting_table(et)[0].tolist())
-            ln_value, estimate = row.ln_de_wkb, semiclassics._ROUNDING * (1.0 + row.action)
-        elif args.method == "asymptotic":
-            ln_value, estimate = semiclassics.ln_splitting_asymptotic(et), 0.0
-        else:
-            ln_value, estimate = semiclassics.ln_splitting_instanton(et), 0.0
+        # every formula line is the sweep's row at et, under the sweep's guards
+        row = semiclassics.SplittingReport(*semiclassics.splitting_table(et)[0].tolist())
+        ln_value = getattr(row, _LN_FIELDS[args.method])
+        estimate = semiclassics._ROUNDING * (1.0 + row.action) if args.method == "wkb-exact" else 0.0
         value = hw * math.exp(ln_value)
     print(
         f"method={args.method} eta={et!r} dE={value!r} "

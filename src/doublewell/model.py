@@ -120,8 +120,10 @@ def eta(p: WellParameters) -> float:
     return math.sqrt(p.hbar / (p.mass * p.angular_frequency * p.half_separation**2))
 
 
-#: 1/sqrt(max float64): the smallest eta whose natural-units well has a finite a^2 = 1/eta^2
-_ETA_FLOOR = 1.0 / math.sqrt(sys.float_info.max)
+#: sqrt(max float64) and its reciprocal: the largest and smallest eta whose
+#: natural-units well has a finite 1/a^2 and a^2 (both exact to the ulp)
+_ETA_CEILING = math.sqrt(sys.float_info.max)
+_ETA_FLOOR = 1.0 / _ETA_CEILING
 
 
 def from_eta(value: float) -> WellParameters:
@@ -130,10 +132,11 @@ def from_eta(value: float) -> WellParameters:
     In natural units eta = 1/a, so only the half-separation is nontrivial.
     """
     value = positive_scalar(value, "eta")
-    if value < _ETA_FLOOR:
+    if not _ETA_FLOOR <= value <= _ETA_CEILING:
+        sign, bound, held = (">=", _ETA_FLOOR, "a^2") if value < _ETA_FLOOR else ("<=", _ETA_CEILING, "1/a^2")
         raise ValueError(
-            f"eta must be >= {_ETA_FLOOR!r} for its natural-units well (a = 1/eta) "
-            f"to hold a^2 in float64, got {value!r}"
+            f"eta must be {sign} {bound!r} for its natural-units well (a = 1/eta) "
+            f"to hold {held} in float64, got {value!r}"
         )
     return WellParameters(mass=1.0, angular_frequency=1.0, half_separation=1.0 / value, hbar=1.0)
 

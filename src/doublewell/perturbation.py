@@ -84,7 +84,10 @@ def epsilon_closed_form(eta_value):
     """Fractional second-order shift of the well ground level,
     (eta^2/16)(25 - 189 eta^2), for the standard coefficient set;
     elementwise for an eta array."""
-    e2 = positive_real(eta_value, "eta") ** 2
+    # squared by multiplication, as numpy squares an array: float ** 2 goes
+    # through libm pow, which can differ in the last bit
+    et = positive_real(eta_value, "eta")
+    e2 = et * et
     return (e2 / 16.0) * (25.0 - 189.0 * e2)
 
 

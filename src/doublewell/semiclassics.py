@@ -7,6 +7,9 @@ asymptotic formula carrying the anharmonicity correction factor delta(eta)
 ("asymptotic"), and the instanton formula ("instanton").  Exponentially
 small magnitudes are handled in log space throughout: every splitting has
 an ln(dE / hbar w) form, and ratios are differences of logs.
+
+Every per-point answer is a row of the one kernel, _wkb_route, and the validity
+boundary is guarded once, in delta, the factor that needs 1 + eps > 0.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .perturbation import PerturbedLevel, epsilon_closed_form, validity_boundary
 
 __all__ = [
     "SQRT_E_OVER_PI",
-    "TurningPoints",
     "SplittingReport",
     "turning_points",
     "action_S",
@@ -50,15 +52,6 @@ _ROUNDING = 8.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
-class TurningPoints:
-    """Inner (+-alpha) and outer (+-gamma) classical turning points at the
-    doublet energy; 0 < alpha < a < gamma in the tunneling regime."""
-
-    alpha: float
-    gamma: float
-
-
-@dataclass(frozen=True)
 class SplittingReport:
     """Everything the three splitting routes produce at one eta.
 
@@ -82,17 +75,6 @@ class SplittingReport:
     ratio_uncorrected: float
 
 
-def _check_validity(eta_value) -> None:
-    """The one guard for every route that needs a below-barrier doublet;
-    eta_value may be an array, and the largest element is reported."""
-    worst = float(np.max(eta_value, initial=0.0))
-    if worst >= _ETA_BOUNDARY:
-        raise ValueError(
-            f"eta={worst!r} is at or beyond the validity boundary "
-            f"{_ETA_BOUNDARY:.6f}, where 1 + epsilon <= 0; no below-barrier doublet"
-        )
-
-
 def _plain(value):
     """A 0-d result as a Python float (so its repr stays plain), an array as is."""
     return float(value) if np.ndim(value) == 0 else value
@@ -109,17 +91,16 @@ def _turning_points(eta_value, epsilon):
     return np.sqrt(1.0 - root), np.sqrt(1.0 + root)
 
 
-def turning_points(p: WellParameters, level: PerturbedLevel) -> TurningPoints:
-    """Turning points alpha = a sqrt(1 - 2 eta sqrt(1+eps)) and
+def turning_points(p: WellParameters, level: PerturbedLevel) -> SplittingReport:
+    """The report at the well p with the WKB route taken at `level`, read for
+    its turning points alpha = a sqrt(1 - 2 eta sqrt(1+eps)) and
     gamma = a sqrt(1 + 2 eta sqrt(1+eps)) of V(x) = E.
 
     These solve V(x) = E exactly: with E = (hbar w / 2)(1 + eps),
     V - E factors as (m w^2 / (8 a^2)) (x^2 - alpha^2)(x^2 - gamma^2).
     Both are real exactly when the level is below the barrier.
     """
-    alpha, gamma = _turning_points(eta_of(p), level.epsilon)
-    a = p.half_separation
-    return TurningPoints(alpha=float(a * alpha), gamma=float(a * gamma))
+    return _one_row(p, level)
 
 
 def _agm(k: np.ndarray, k_complement: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -200,11 +181,13 @@ def _quadrature_integrals(alpha, gamma):
 def _wkb_route(eta_value, half_separation, epsilon=None) -> np.ndarray:
     """The SplittingReport columns over an eta array, with alpha and gamma in
     units of `half_separation` and the level shift taken from `epsilon` if
-    given: guards the validity boundary and the float64 range, then takes
-    S = (action integral) / eta^2 and w T = 8 (period integral) in closed form
-    (see _elliptic_integrals) at the turning points for a = 1."""
+    given: guards the validity boundary (through delta) and the float64 range,
+    then takes S = (action integral) / eta^2 and w T = 8 (period integral) in
+    closed form (see _elliptic_integrals) at the turning points for a = 1."""
     et = np.atleast_1d(eta_value)
-    _check_validity(et)
+    # delta's validity guard goes first, so a level beyond it is not called below the well bottom
+    ln_delta = ln_delta_factor(et)
+    delta = np.exp(ln_delta)
     # S <= 2/(3 eta^2), so the instanton formula's float64 guard is the route's
     ln_instanton = ln_splitting_instanton(et)
     eps = epsilon_closed_form(et) if epsilon is None else epsilon
@@ -212,8 +195,6 @@ def _wkb_route(eta_value, half_separation, epsilon=None) -> np.ndarray:
     action, period = _elliptic_integrals(alpha, gamma)
     action = action / (et * et)
     omega_t = 8.0 * period
-    ln_delta = ln_delta_factor(et)
-    delta = np.exp(ln_delta)
     return np.column_stack([
         et,
         np.broadcast_to(eps, et.shape),
@@ -256,11 +237,17 @@ def ln_delta_factor(eta_value):
 
     delta = (1+eps)^{-1/2} exp[eps/2 - eps ln(eta sqrt(1+eps)/4)], written
     with log1p so the small-eta limit delta -> 1 is reached smoothly.  Defined
-    below validity_boundary(), where 1 + eps > 0.
+    below validity_boundary(), where 1 + eps > 0; the refusal of any other eta
+    (the largest given is named) is the one validity guard of every route.
     """
     eta_value = positive_real(eta_value, "eta")
+    worst = float(np.max(eta_value, initial=0.0))
+    if worst >= _ETA_BOUNDARY:
+        raise ValueError(
+            f"eta={worst!r} is at or beyond the validity boundary "
+            f"{_ETA_BOUNDARY:.6f}, where 1 + epsilon <= 0; no below-barrier doublet"
+        )
     eps = epsilon_closed_form(eta_value)
-    _check_validity(eta_value)
     half_ln1p = 0.5 * np.log1p(eps)
     return _plain(-half_ln1p + 0.5 * eps - eps * (np.log(eta_value / 4.0) + half_ln1p))
 

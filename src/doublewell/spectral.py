@@ -16,9 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .model import WellParameters, eta as eta_of, positive_scalar, potential, whole_number
+from .model import WellParameters, positive_scalar, potential, whole_number
 from .perturbation import perturbed_level
-from .semiclassics import _check_validity, turning_points
+from .semiclassics import turning_points
 
 __all__ = [
     "GridSpec",
@@ -224,9 +224,8 @@ def _matrix(p: WellParameters, half_width: float, n: int, potential_fn) -> tuple
 
 
 def _outer_turning_point(p: WellParameters) -> float:
-    """Outer turning point gamma of the standard level, behind the one validity
-    guard: at or beyond the boundary there is no below-barrier doublet to box."""
-    _check_validity(eta_of(p))
+    """Outer turning point gamma of the standard level, from the WKB report, whose
+    validity guard refuses a well at or beyond the boundary: no doublet to box."""
     return turning_points(p, perturbed_level(p)).gamma
 
 

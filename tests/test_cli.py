@@ -101,6 +101,22 @@ def test_splitting_computes_at_the_eta_given(method, capsys):
     assert float(fields["ln_dE_over_hbar_omega"]) == route(0.122513)
 
 
+def test_formula_lines_are_the_sweep_rows(capsys):
+    # every formula method prints its column of the one-row table at the eta
+    # given, and wkb-exact the rounding bound of that row's S
+    rng = np.random.default_rng(20)
+    etas = [*np.linspace(0.02, 0.15, 100).tolist(), *rng.uniform(0.01, 0.6037, 200).tolist()]
+    columns = {"wkb-exact": "ln_dE_wkb", "asymptotic": "ln_dE_asym", "instanton": "ln_dE_instanton"}
+    for et in etas:
+        row = dict(zip(CSV_HEADER.split(","), semiclassics.splitting_table([et])[0].tolist()))
+        for method, column in columns.items():
+            assert main(["splitting", "--eta", repr(et), "--method", method]) == 0
+            fields = _parse_splitting_line(capsys.readouterr().out)
+            assert float(fields["ln_dE_over_hbar_omega"]) == row[column], (et, method)
+            if method == "wkb-exact":
+                assert float(fields["rel_estimate"]) == semiclassics._ROUNDING * (1.0 + row["S"])
+
+
 def test_splitting_physical_parameters(capsys):
     # m = omega = hbar = 1, a = 10 is the same well as eta = 0.1.
     assert main(["splitting", "--a", "10", "--method", "instanton"]) == 0
@@ -124,6 +140,8 @@ def test_splitting_physical_parameters(capsys):
         ["splitting", "--a", "1", "--hbar", "1e-310", "--method", "wkb-exact"],
         ["splitting", "--a", "1", "--hbar", "1e-310", "--method", "instanton"],
         ["splitting", "--a", "1", "--hbar", "1e-310", "--method", "asymptotic"],
+        # a formula line is the sweep's row, refused beyond the validity boundary
+        ["splitting", "--eta", "0.65", "--method", "instanton"],
     ],
 )
 def test_splitting_usage_and_domain_errors(argv, capsys):

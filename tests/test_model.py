@@ -110,12 +110,19 @@ def test_from_eta_rejects_nonpositive(bad):
         from_eta(bad)
 
 
-def test_from_eta_names_eta_below_its_floor():
-    # below 1/sqrt(max float64) the natural-units well's a^2 = 1/eta^2 overflows
-    floor = 1.0 / math.sqrt(sys.float_info.max)
-    assert 0.0 < eta(from_eta(floor)) < math.inf
+def test_from_eta_names_eta_outside_its_range():
+    # below 1/sqrt(max float64) the natural-units well's a^2 = 1/eta^2 overflows,
+    # and above sqrt(max float64) its 1/a^2 = eta^2 does
+    ceiling = math.sqrt(sys.float_info.max)
+    floor = 1.0 / ceiling
+    for bound in (floor, ceiling):
+        assert 0.0 < eta(from_eta(bound)) < math.inf
     for value in (math.nextafter(floor, 0.0), 7e-155, 1e-320):
         with pytest.raises(ValueError, match=f"^eta must be >= {floor!r} .*, got {re.escape(repr(value))}$"):
+            from_eta(value)
+    for value in (math.nextafter(ceiling, math.inf), 1.4e154, 1e200, sys.float_info.max):
+        pattern = f"^eta must be <= {re.escape(repr(ceiling))} .*, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=pattern):
             from_eta(value)
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import ellipe, ellipk
 
+import doublewell
 import doublewell.semiclassics as semiclassics
 
 from doublewell import (
@@ -20,6 +21,7 @@ from doublewell import (
     WellParameters,
     action_S,
     delta_factor,
+    epsilon_closed_form,
     eta,
     from_eta,
     ln_splitting_asymptotic,
@@ -325,6 +327,8 @@ def test_correction_dependent_routes_guard_their_domain():
             ratio_wkb_instanton(bad_eta)
     with pytest.raises(ValueError, match="validity boundary"):
         splitting_report(from_eta(0.61))
+    with pytest.raises(ValueError, match="validity boundary"):
+        turning_points(from_eta(0.61), perturbed_level(from_eta(0.61)))
 
 
 def test_instanton_exponent_log_slope():
@@ -458,6 +462,33 @@ def test_report_is_the_table_row_at_its_eta(p):
     alpha, gamma = semiclassics._turning_points(eta(p), report.epsilon)
     assert report.alpha == p.half_separation * alpha
     assert report.gamma == p.half_separation * gamma
+
+
+def test_turning_points_are_the_report_row():
+    # one report type: turning_points reads the kernel's row at the level given,
+    # and at the standard level that is splitting_report's row, field for field
+    assert not hasattr(doublewell, "TurningPoints")
+    for eta_value in (0.503730339310609, 0.45649731202682975, *np.linspace(0.01, 0.6, 200).tolist()):
+        p = from_eta(eta_value)
+        assert turning_points(p, perturbed_level(p)) == splitting_report(p), eta_value
+
+
+def test_scalar_eta_functions_are_the_table_columns():
+    # a float eta is squared as an array is, so every scalar function of eta
+    # returns its splitting_table column bit for bit (libm pow for eta ** 2 did not)
+    rng = np.random.default_rng(20)
+    known = [0.014737386804587416, 0.45649731202682975, 0.503730339310609]
+    etas = np.array([*known, *rng.uniform(0.005, 0.6, 5000)])
+    table = splitting_table(etas)
+    names = [field.name for field in fields(semiclassics.SplittingReport)]
+    routes = {
+        "epsilon": epsilon_closed_form, "delta": delta_factor, "ratio_corrected": ratio_wkb_instanton,
+        "ln_de_asym": ln_splitting_asymptotic, "ln_de_instanton": ln_splitting_instanton,
+    }
+    for name, route in routes.items():
+        column = table[:, names.index(name)].tolist()
+        missed = [e for e, value in zip(etas.tolist(), column) if route(e) != value]
+        assert not missed, (name, missed[:3])
 
 
 def test_report_deterministic():
