@@ -26,7 +26,6 @@ from .perturbation import (
     AnharmonicExpansion,
     epsilon_closed_form,
     epsilon_series_coefficients,
-    perturbed_level,
     rs_engine,
     validity_boundary,
 )
@@ -193,7 +192,7 @@ def cmd_splitting(args: argparse.Namespace) -> int:
         # every formula line is the sweep's row at et, under the sweep's guards
         row = semiclassics.SplittingReport(*semiclassics.splitting_table(et)[0].tolist())
         ln_value = getattr(row, _LN_FIELDS[args.method])
-        estimate = semiclassics._ROUNDING * (1.0 + row.action) if args.method == "wkb-exact" else 0.0
+        estimate = semiclassics._wkb_estimate(row.action) if args.method == "wkb-exact" else 0.0
         value = hw * math.exp(ln_value)
     print(
         f"method={args.method} eta={et!r} dE={value!r} "
@@ -227,12 +226,12 @@ def _validation_checks() -> Iterator[_Check]:
     err = float(np.max([abs(a2 - 25.0 / 16.0), abs(a4 + 189.0 / 16.0)]))
     yield _Check("series-coefficients", err, 1e-12, f"(eta^2, eta^4) off by at most {err:.3e}")
 
-    # turning points actually solve V(x) = E
+    # turning points actually solve V(x) = E: alpha and gamma from one table,
+    # V from the potential itself, at E = (1 + eps) / 2 in natural units
     residuals = []
-    for p in map(from_eta, np.linspace(0.01, 0.3, 50).tolist()):
-        level = perturbed_level(p)
-        tp = semiclassics.turning_points(p, level)
-        residuals += [abs(potential(p, x) - level.energy) / level.energy for x in (tp.alpha, tp.gamma)]
+    for et, eps, alpha, gamma in semiclassics.splitting_table(np.linspace(0.01, 0.3, 50))[:, :4].tolist():
+        p, energy = from_eta(et), 0.5 * (1.0 + eps)
+        residuals += [abs(potential(p, x) - energy) / energy for x in (alpha, gamma)]
     worst = float(np.max(residuals))
     yield _Check("turning-point-residuals", worst, 1e-10, f"max relative residual = {worst:.3e}")
 
@@ -270,10 +269,10 @@ def _validation_checks() -> Iterator[_Check]:
     yield _Check("crossing-location", abs(crossing - 0.122513), 5e-6, f"root at eta = {crossing:.7f}")
 
     defects = []
-    for e in np.linspace(0.02, 0.3, 20):
-        p = from_eta(float(e))
-        lhs = semiclassics.ratio_wkb_instanton(float(e)) * semiclassics.splitting_instanton(p)
-        rhs = semiclassics.splitting_asymptotic(p)
+    for e in np.linspace(0.02, 0.3, 20).tolist():
+        # natural units, hbar w = 1
+        lhs = semiclassics.ratio_wkb_instanton(e) * math.exp(semiclassics.ln_splitting_instanton(e))
+        rhs = semiclassics.splitting_asymptotic(from_eta(e))
         if rhs != 0.0:  # the eta = 0.02 splitting underflows
             defects.append(abs(lhs - rhs) / rhs)
     worst = float(np.max(defects))

@@ -25,7 +25,6 @@ __all__ = [
     "epsilon_closed_form",
     "perturbed_level",
     "rs_engine",
-    "transition_amplitudes",
     "epsilon_series_coefficients",
     "validity_boundary",
 ]
@@ -91,7 +90,7 @@ def epsilon_closed_form(eta_value):
     return (e2 / 16.0) * (25.0 - 189.0 * e2)
 
 
-def transition_amplitudes(expansion: AnharmonicExpansion) -> tuple[np.ndarray, np.ndarray]:
+def _transition_amplitudes(expansion: AnharmonicExpansion) -> tuple[np.ndarray, np.ndarray]:
     """Exact amplitudes <k| c3 y^3 |0> and <k| c4 y^4 |0> for k < _STATES.
 
     Built from the tridiagonal position matrix y[i, i+1] = lam sqrt(i+1)
@@ -122,7 +121,7 @@ def rs_engine(expansion: AnharmonicExpansion, order: int = 2) -> float:
     """
     if whole_number(order, "order", 1) > 2:
         raise ValueError(f"order must be 1 or 2, got {order!r}")
-    amp_cubic, amp_quartic = transition_amplitudes(expansion)
+    amp_cubic, amp_quartic = _transition_amplitudes(expansion)
     p = expansion.params
     hw = p.hbar * p.angular_frequency
     shift = amp_cubic[0] + amp_quartic[0]

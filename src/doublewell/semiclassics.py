@@ -26,16 +26,12 @@ __all__ = [
     "SQRT_E_OVER_PI",
     "SplittingReport",
     "turning_points",
-    "action_S",
-    "period_T",
     "delta_factor",
     "ln_delta_factor",
     "ln_splitting_wkb_exact",
     "ln_splitting_asymptotic",
     "ln_splitting_instanton",
-    "splitting_wkb_exact",
     "splitting_asymptotic",
-    "splitting_instanton",
     "ratio_wkb_instanton",
     "splitting_report",
     "splitting_table",
@@ -47,7 +43,7 @@ SQRT_E_OVER_PI = math.sqrt(math.e / math.pi)
 
 _ETA_BOUNDARY = validity_boundary()
 #: relative rounding bound of the closed-form S and w T (held to an mpmath
-#: oracle in the tests), so ln dE = ln 2 - ln(w T) - S is good to _ROUNDING (1 + S)
+#: oracle in the tests); _wkb_estimate carries it to dE
 _ROUNDING = 8.0 * float(np.finfo(float).eps)
 
 
@@ -219,19 +215,6 @@ def _one_row(p: WellParameters, level: PerturbedLevel | None = None) -> Splittin
     return SplittingReport(*row[0].tolist())
 
 
-def action_S(p: WellParameters, level: PerturbedLevel) -> float:
-    """Dimensionless barrier integral of sqrt(2m(V - E))/hbar between -alpha
-    and +alpha at the level, in closed form (complete elliptic integrals)."""
-    return _one_row(p, level).action
-
-
-def period_T(p: WellParameters, level: PerturbedLevel) -> float:
-    """Classical period (time units) of oscillation at energy E in one well,
-    int sqrt(2m)/sqrt(E - V) dx over [alpha, gamma], in closed form
-    (4 a / (w gamma)) K(1 - alpha^2/gamma^2)."""
-    return _one_row(p, level).omega_t / p.angular_frequency
-
-
 def ln_delta_factor(eta_value):
     """ln of the anharmonicity correction factor delta(eta), elementwise.
 
@@ -281,33 +264,23 @@ def ln_splitting_asymptotic(eta_value):
 def ln_splitting_wkb_exact(p: WellParameters, level: PerturbedLevel | None = None) -> tuple[float, float]:
     """ln(dE / hbar w) from the WKB route dE = (2 hbar / T) e^{-S}.
 
-    Returns (log value, relative error estimate of dE); the estimate is the
-    closed form's rounding bound, with the action's share amplified by S,
-    since dE depends on S through e^{-S}.
+    Returns (log value, relative error estimate of dE); the estimate is
+    _wkb_estimate, since dE depends on S through e^{-S}.
     """
     report = _one_row(p, level)
-    return report.ln_de_wkb, _ROUNDING * (1.0 + report.action)
+    return report.ln_de_wkb, _wkb_estimate(report.action)
 
 
-def splitting_wkb_exact(p: WellParameters, level: PerturbedLevel | None = None) -> float:
-    """Tunneling splitting (energy units) from the WKB route,
-    (2 hbar / T) e^{-S}; underflows to 0.0 below roughly eta = 0.03."""
-    ln_value, _ = ln_splitting_wkb_exact(p, level)
-    return p.hbar * p.angular_frequency * math.exp(ln_value)
+def _wkb_estimate(action: float) -> float:
+    """Relative error bound of dE = (2 hbar / T) e^{-S} at the action S: the
+    closed form's rounding bound, with the action's share amplified by S."""
+    return _ROUNDING * (1.0 + action)
 
 
 def splitting_asymptotic(p: WellParameters) -> float:
     """Tunneling splitting (energy units) from the corrected asymptotic
     formula hbar w (4 sqrt(e) / (pi eta)) e^{-2/(3 eta^2)} delta(eta)."""
     return p.hbar * p.angular_frequency * math.exp(ln_splitting_asymptotic(eta_of(p)))
-
-
-def splitting_instanton(p: WellParameters) -> float:
-    """Tunneling splitting (energy units) from the instanton formula
-    hbar w (4 / (sqrt(pi) eta)) e^{-2/(3 eta^2)}, for every well with
-    eta >~ 6.1e-155: below that the exponent overflows float64 and
-    ln_splitting_instanton refuses the eta."""
-    return p.hbar * p.angular_frequency * math.exp(ln_splitting_instanton(eta_of(p)))
 
 
 def ratio_wkb_instanton(eta_value):

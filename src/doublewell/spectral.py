@@ -1,11 +1,14 @@
 """Finite-difference eigensolver for the double well.
 
-An oracle with an independent failure profile from the semiclassical
-formulas: central differences plus a symmetric tridiagonal eigensolver,
-with Richardson extrapolation over a grid pair and an error estimate that
-includes the arithmetic noise floor.  That floor is what bounds the
-resolvable doublets: splittings below roughly 100 eps of the ground energy
-cannot be certified in 64-bit arithmetic, no matter the grid.
+An oracle for the semiclassical formulas: central differences plus a
+symmetric tridiagonal eigensolver, with Richardson extrapolation over a grid
+pair and an error estimate that includes the arithmetic noise floor.  That
+floor is what bounds the resolvable doublets: splittings below roughly 100 eps
+of the ground energy cannot be certified in 64-bit arithmetic, no matter the
+grid.  Its failure profile is not yet independent of the routes it checks:
+the box (default_grid and solve_spectrum's margin) is sized from the WKB
+report's outer turning point at the paper's level, so a wrong gamma there
+moves the box too (ROADMAP.md item 5).
 """
 
 from __future__ import annotations

@@ -21,9 +21,9 @@ from doublewell import (
     from_eta,
     perturbed_level,
     rs_engine,
-    transition_amplitudes,
     validity_boundary,
 )
+from doublewell.perturbation import _transition_amplitudes
 
 
 def test_epsilon_closed_form_value():
@@ -87,7 +87,7 @@ def test_engine_rejects_small_truncation():
 def test_parity_selection_rules():
     # the cubic term connects |0> only to odd k, the quartic only to even k,
     # so the cross products vanish identically state by state
-    amp_cubic, amp_quartic = transition_amplitudes(AnharmonicExpansion.standard(from_eta(0.1)))
+    amp_cubic, amp_quartic = _transition_amplitudes(AnharmonicExpansion.standard(from_eta(0.1)))
     k = np.arange(5)
     assert len(amp_cubic) == len(amp_quartic) == 5
     assert np.all(amp_cubic[k % 2 == 0] == 0.0)

@@ -41,8 +41,8 @@ def test_library_quick_start_runs_and_matches_its_comments():
     leading = [
         ("tp = dw.turning_points(p, level)", "α = 8.936...", ns["tp"].alpha),
         ("tp = dw.turning_points(p, level)", "γ = 10.961...", ns["tp"].gamma),
-        ("S = dw.action_S(p, level)", "62.4157...", ns["S"]),
-        ("T = dw.period_T(p, level)", "6.3320...", ns["T"]),
+        ("S = tp.action", "62.4157...", ns["S"]),
+        ("T = tp.omega_t / p.angular_frequency", "6.3320...", ns["T"]),
         ("dw.ratio_wkb_instanton(0.1)", "0.98104...", values["dw.ratio_wkb_instanton(0.1)"]),
     ]
     for statement, text, value in leading:
@@ -53,3 +53,33 @@ def test_library_quick_start_runs_and_matches_its_comments():
     quoted("dw.exact_splitting(dw.from_eta(0.2))", f"({splitting:.3e}, {estimate:.2e})")
     shift = values["r.eigenvalues[0] + r.eigenvalues[1] - 1"]
     quoted("r.eigenvalues[0] + r.eigenvalues[1] - 1", f"physical ε at η = 0.1: {shift:.4e}")
+
+
+#: the public library: one answer per question, each named in the README
+PUBLIC_NAMES = {
+    # model
+    "WellParameters", "potential", "eta", "from_eta",
+    # perturbation
+    "AnharmonicExpansion", "PerturbedLevel", "epsilon_closed_form", "perturbed_level", "rs_engine",
+    "epsilon_series_coefficients", "validity_boundary",
+    # semiclassics
+    "SQRT_E_OVER_PI", "SplittingReport", "turning_points", "delta_factor", "ln_delta_factor",
+    "ln_splitting_wkb_exact", "ln_splitting_asymptotic", "ln_splitting_instanton", "splitting_asymptotic",
+    "ratio_wkb_instanton", "splitting_report", "splitting_table",
+    # spectral
+    "GridSpec", "SpectrumResult", "ResolutionError", "solve_spectrum", "exact_splitting",
+}
+
+
+def test_public_names_are_the_documented_surface():
+    import doublewell
+
+    assert len(PUBLIC_NAMES) == 28
+    assert sorted(doublewell.__all__) == sorted([*PUBLIC_NAMES, "__version__"])
+    # each restated a field of the report row, or had one caller inside the package
+    for gone in ("action_S", "period_T", "splitting_wkb_exact", "splitting_instanton", "transition_amplitudes"):
+        assert not hasattr(doublewell, gone), gone
+    text = README.read_text(encoding="utf-8")
+    # named in code: in backticks, or as dw.name in the quick start
+    undocumented = [name for name in doublewell.__all__ if not re.search(rf"(`|dw\.){name}\b", text)]
+    assert not undocumented

@@ -19,7 +19,6 @@ from doublewell import (
     SQRT_E_OVER_PI,
     PerturbedLevel,
     WellParameters,
-    action_S,
     delta_factor,
     epsilon_closed_form,
     eta,
@@ -27,15 +26,12 @@ from doublewell import (
     ln_splitting_asymptotic,
     ln_splitting_instanton,
     ln_splitting_wkb_exact,
-    period_T,
     perturbed_level,
     potential,
     ratio_wkb_instanton,
     splitting_asymptotic,
-    splitting_instanton,
     splitting_report,
     splitting_table,
-    splitting_wkb_exact,
     turning_points,
 )
 
@@ -61,12 +57,13 @@ def _natural_setup(eta_value):
 
 @pytest.mark.parametrize("eta_value", sorted(GOLDEN))
 def test_frozen_action_period_turning_points(eta_value):
-    p, level, tp = _natural_setup(eta_value)
+    _, _, tp = _natural_setup(eta_value)
     ref = GOLDEN[eta_value]
     assert tp.alpha == pytest.approx(ref["alpha"], rel=1e-12)
     assert tp.gamma == pytest.approx(ref["gamma"], rel=1e-12)
-    assert action_S(p, level) == pytest.approx(ref["S"], rel=1e-12)
-    assert period_T(p, level) == pytest.approx(ref["T"], rel=1e-12)
+    assert tp.action == pytest.approx(ref["S"], rel=1e-12)
+    # omega = 1, so T = omega T
+    assert tp.omega_t == pytest.approx(ref["T"], rel=1e-12)
 
 
 @pytest.mark.parametrize("eta_value", sorted(GOLDEN))
@@ -75,18 +72,18 @@ def test_quadrature_matches_elliptic_closed_forms(eta_value):
     # parameter m = alpha^2/gamma^2 (or its complement).  scipy.special's
     # K and E check both the AGM closed form of the route and the
     # quadrature reference it is validated against.
-    p, level, tp = _natural_setup(eta_value)
+    p, _, tp = _natural_setup(eta_value)
     al, ga = tp.alpha, tp.gamma
     m = (al / ga) ** 2
 
     period_closed = 4.0 * p.half_separation / (p.angular_frequency * ga) * ellipk(1.0 - m)
-    assert period_T(p, level) == pytest.approx(period_closed, rel=1e-12)
+    assert tp.omega_t / p.angular_frequency == pytest.approx(period_closed, rel=1e-12)
 
     integral_closed = al * al * ga * ((1.0 + m) * ellipe(m) - (1.0 - m) * ellipk(m)) / (3.0 * m)
     action_closed = (
         p.mass * p.angular_frequency / (p.hbar * p.half_separation) * integral_closed
     )
-    assert action_S(p, level) == pytest.approx(action_closed, rel=1e-12)
+    assert tp.action == pytest.approx(action_closed, rel=1e-12)
 
     action_ref, _, period_ref, _ = semiclassics._quadrature_integrals(np.array([al]), np.array([ga]))
     assert 8.0 * p.half_separation / p.angular_frequency * period_ref[0] == pytest.approx(period_closed, rel=1e-12)
@@ -170,9 +167,7 @@ def test_above_barrier_level_rejected():
     with pytest.raises(ValueError, match="barrier"):
         turning_points(p, high)
     with pytest.raises(ValueError, match="barrier"):
-        action_S(p, high)
-    with pytest.raises(ValueError, match="barrier"):
-        period_T(p, high)
+        ln_splitting_wkb_exact(p, high)
 
 
 @pytest.mark.parametrize("epsilon", [-2.0, -1.0, math.nan])
@@ -183,7 +178,7 @@ def test_level_at_or_below_well_bottom_rejected(epsilon):
     with pytest.raises(ValueError, match="well bottom"):
         turning_points(p, low)
     with pytest.raises(ValueError, match="well bottom"):
-        action_S(p, low)
+        ln_splitting_wkb_exact(p, low)
 
 
 @pytest.mark.parametrize(
@@ -232,33 +227,19 @@ def test_splitting_table_refuses_eta_beyond_float64_range(tiny):
 
 def test_action_small_eta_limit():
     # S -> 2/(3 eta^2) as eta -> 0.
-    p, level, _ = _natural_setup(0.02)
-    assert action_S(p, level) * 1.5 * 0.02**2 == pytest.approx(1.0, rel=0.01)
+    _, _, tp = _natural_setup(0.02)
+    assert tp.action * 1.5 * 0.02**2 == pytest.approx(1.0, rel=0.01)
 
 
 def test_action_decreases_with_eta():
-    values = [action_S(*_natural_setup(e)[:2]) for e in (0.08, 0.10, 0.12)]
+    values = [_natural_setup(e)[2].action for e in (0.08, 0.10, 0.12)]
     assert values[0] > values[1] > values[2]
 
 
 def test_period_harmonic_limit():
     # Deep wells oscillate at the harmonic frequency: omega T -> 2 pi.
-    p, level, _ = _natural_setup(0.01)
-    omega_t = p.angular_frequency * period_T(p, level)
-    assert omega_t == pytest.approx(2.0 * math.pi, rel=0.01)
-
-
-def test_period_carries_time_units():
-    # Same eta = 0.1, but omega = 0.5 instead of 1: the dimensionless
-    # omega*T is invariant, so T itself doubles.
-    natural = from_eta(0.1)
-    physical = WellParameters(
-        mass=4.0, angular_frequency=0.5, half_separation=math.sqrt(50.0), hbar=1.0
-    )
-    assert eta(physical) == pytest.approx(0.1, rel=1e-14)
-    t_natural = period_T(natural, perturbed_level(natural))
-    t_physical = period_T(physical, perturbed_level(physical))
-    assert t_physical == pytest.approx(2.0 * t_natural, rel=1e-10)
+    _, _, tp = _natural_setup(0.01)
+    assert tp.omega_t == pytest.approx(2.0 * math.pi, rel=0.01)
 
 
 def test_delta_factor_frozen_values():
@@ -278,7 +259,8 @@ def test_delta_factor_undefined_when_shift_reaches_minus_one():
 
 def test_instanton_frozen_values():
     assert ln_splitting_instanton(0.1) == pytest.approx(-63.55015215547742, abs=1e-10)
-    assert splitting_instanton(from_eta(0.1)) == pytest.approx(2.51489347893833e-28, rel=1e-12)
+    # hbar w = 1
+    assert math.exp(ln_splitting_instanton(0.1)) == pytest.approx(2.51489347893833e-28, rel=1e-12)
 
 
 def test_instanton_input_validation():
@@ -292,7 +274,7 @@ def test_instanton_input_validation():
 def test_instanton_defined_for_any_positive_eta():
     # The instanton formula has no anharmonicity input, so it stays
     # finite and positive even far beyond the perturbative regime.
-    assert splitting_instanton(from_eta(5.0)) > 0.0
+    assert math.exp(ln_splitting_instanton(5.0)) > 0.0
     assert math.isfinite(ln_splitting_instanton(0.7))
 
 
@@ -398,9 +380,11 @@ def test_splitting_energy_units():
     a = math.sqrt(hbar / (mass * omega)) / 0.15
     p = WellParameters(mass=mass, angular_frequency=omega, half_separation=a, hbar=hbar)
     assert eta(p) == pytest.approx(0.15, rel=1e-14)
+    hw = p.hbar * p.angular_frequency
+    assert hw == 4.5
     ln_natural, _ = ln_splitting_wkb_exact(from_eta(0.15))
-    assert splitting_wkb_exact(p) == pytest.approx(4.5 * math.exp(ln_natural), rel=1e-10)
-    assert splitting_asymptotic(p) / splitting_instanton(p) == pytest.approx(
+    assert hw * math.exp(ln_splitting_wkb_exact(p)[0]) == pytest.approx(4.5 * math.exp(ln_natural), rel=1e-10)
+    assert splitting_asymptotic(p) / (hw * math.exp(ln_splitting_instanton(eta(p)))) == pytest.approx(
         ratio_wkb_instanton(0.15), rel=1e-12
     )
 

@@ -17,8 +17,8 @@ from doublewell import (
     exact_splitting,
     from_eta,
     ln_splitting_instanton,
+    ln_splitting_wkb_exact,
     perturbed_level,
-    splitting_wkb_exact,
 )
 from doublewell import solve_spectrum
 from doublewell import spectral
@@ -154,7 +154,8 @@ def test_splitting_grows_with_eta():
 def test_splitting_agrees_with_quadrature_route():
     p = from_eta(0.2)
     splitting, _ = exact_splitting(p)
-    assert 0.75 < splitting / splitting_wkb_exact(p) < 1.05
+    # hbar w = 1
+    assert 0.75 < splitting / math.exp(ln_splitting_wkb_exact(p)[0]) < 1.05
 
 
 def test_splitting_agrees_with_instanton_scale():
