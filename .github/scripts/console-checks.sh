@@ -1,0 +1,50 @@
+#!/usr/bin/env bash
+# Every subcommand and every splitting method through the installed
+# `doublewell` entry point, so a stale import or a RuntimeWarning (run under
+# PYTHONWARNINGS=error::RuntimeWarning) fails here.
+# Usage: console-checks.sh OUTDIR   (writes sweep.csv and default.csv there)
+set -euo pipefail
+out="$1"
+
+# run a command that must fail with the given exit code
+expect_exit() {
+  local want="$1" status=0
+  shift
+  "$@" || status=$?
+  test "$status" -eq "$want"
+}
+
+doublewell table1
+doublewell validate
+doublewell validate --json
+doublewell sweep --steps 10 --out "$out/sweep.csv"
+# a formula line computes at the eta given and echoes it, though the
+# well a = 1/0.122513 implies an eta 1 ulp below it
+for method in wkb-exact asymptotic instanton; do
+  doublewell splitting --eta 0.1 --method "$method"
+  doublewell splitting --eta 0.2 --method "$method"
+  doublewell splitting --eta 0.122513 --method "$method" | grep -F " eta=0.122513 "
+done
+# the eigensolver answers beyond the validity boundary, and refuses a well
+# whose default grid would exceed its point budget
+doublewell splitting --eta 0.2 --method spectral
+doublewell splitting --eta 0.65 --method spectral
+expect_exit 2 doublewell splitting --eta 1e-6 --method spectral
+doublewell sweep --out "$out/default.csv"
+# a formula line is the sweep's row at its eta, under the sweep's guards:
+# instanton is refused beyond the validity boundary, and each formula
+# method prints, as repr, the ln dE column of three default-sweep rows
+expect_exit 2 doublewell splitting --eta 0.65 --method instanton
+python - "$out/default.csv" <<'EOF'
+import subprocess, sys
+header, *lines = open(sys.argv[1]).read().splitlines()
+columns = {"wkb-exact": "ln_dE_wkb", "asymptotic": "ln_dE_asym", "instanton": "ln_dE_instanton"}
+for line in (lines[0], lines[49], lines[-1]):
+    row = dict(zip(header.split(","), line.split(",")))
+    for method, column in columns.items():
+        argv = ["doublewell", "splitting", "--eta", row["eta"], "--method", method]
+        out = subprocess.run(argv, check=True, capture_output=True, text=True).stdout
+        printed = dict(token.split("=", 1) for token in out.split())["ln_dE_over_hbar_omega"]
+        if printed != row[column]:
+            sys.exit(f"{method} at eta={row['eta']} printed {printed}, the sweep row holds {row[column]}")
+EOF

@@ -8,6 +8,7 @@ import json
 import math
 import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,31 @@ def test_splitting_spectral_resolved(capsys):
 def test_splitting_spectral_unresolvable_is_numerical_failure(capsys):
     assert main(["splitting", "--eta", "0.05", "--method", "spectral"]) == 3
     assert "below numerical resolution" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "eta_value, code, reason",
+    [
+        ("0.65", 0, ""),
+        ("1", 0, ""),
+        ("10", 0, ""),
+        ("1e4", 0, ""),
+        ("1e6", 3, "below numerical resolution"),
+        ("1e100", 2, "below its float64 rounding"),
+        ("1.3e154", 2, "below its float64 rounding"),
+        ("1e-6", 2, "beyond the budget"),
+    ],
+)
+def test_splitting_spectral_ends_cleanly_at_every_eta(eta_value, code, reason, capsys):
+    # beyond eta0 the eigensolver answers until float64 cannot hold the well's
+    # matrix (V swamps the off-diagonal at 1e100, overflows at 1.3e154);
+    # far-apart wells are refused by the grid budget; never a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["splitting", "--eta", eta_value, "--method", "spectral"]) == code
+    captured = capsys.readouterr()
+    assert ("method=spectral" in captured.out) == (code == 0)
+    assert reason in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("method", ["wkb-exact", "asymptotic", "instanton"])

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import math
+import re
+import time
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -14,11 +18,14 @@ from doublewell import (
     ResolutionError,
     SpectrumResult,
     WellParameters,
+    eta,
     exact_splitting,
     from_eta,
     ln_splitting_instanton,
     ln_splitting_wkb_exact,
     perturbed_level,
+    splitting_report,
+    validity_boundary,
 )
 from doublewell import solve_spectrum
 from doublewell import spectral
@@ -199,25 +206,57 @@ def test_unresolvable_splitting_is_refused(eta_value):
         exact_splitting(from_eta(eta_value))
 
 
-def test_exact_splitting_domain_guard():
-    with pytest.raises(ValueError, match="validity boundary"):
-        exact_splitting(from_eta(0.65))
+def test_box_is_the_report_gamma_wherever_eps_is_nonnegative():
+    # the closed-form box equals the WKB kernel's gamma bit for bit where the
+    # paper's eps >= 0, and is the unshifted level's a sqrt(1 + 2 eta) above that
+    rng = np.random.default_rng(22)
+    for eta_value in rng.uniform(0.0, math.sqrt(25.0 / 189.0), 2000).tolist():
+        p = from_eta(eta_value)
+        assert spectral._outer_turning_point(p) == splitting_report(p).gamma, eta_value
+    for eta_value in (0.37, 0.5, 0.6, validity_boundary(), 0.65, 1.0, 1e6):
+        p = from_eta(eta_value)
+        assert spectral._outer_turning_point(p) == p.half_separation * math.sqrt(1.0 + 2.0 * eta(p))
 
 
-@pytest.mark.parametrize("eta_value", [0.65, 0.7])
-def test_every_eigensolver_entry_point_refuses_beyond_validity_boundary(eta_value):
-    # beyond the boundary 1 + eps < 0: the one guard names that, before any
-    # turning point takes the square root of a negative number
+def test_spectral_imports_only_model_and_perturbation():
+    # the oracle must not run the routes it checks: no semiclassics in its imports
+    tree = ast.parse(Path(spectral.__file__).read_text())
+    local = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            local.add(node.module)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            assert not any(name.split(".")[0] == "doublewell" for name in names), names
+    assert local == {"model", "perturbation"}
+
+
+@pytest.mark.parametrize("eta_value, expected", [(0.65, 0.33785), (0.8, 0.47793)])
+def test_exact_splitting_resolves_beyond_validity_boundary(eta_value, expected):
+    # eta0 bounds the paper's level, not the Hamiltonian: the doublet is there,
+    # and a 4x-refined grid on the same box agrees within the estimate
     p = from_eta(eta_value)
-    grid = GridSpec(20.0, 401)
-    calls = [
-        lambda: solve_spectrum(p),
-        lambda: solve_spectrum(p, grid),
-        lambda: exact_splitting(p),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match="validity boundary"):
-            call()
+    splitting, estimate = exact_splitting(p)
+    assert splitting == pytest.approx(expected, abs=1e-5)
+    grid = default_grid(p)
+    refined = solve_spectrum(p, GridSpec(grid.half_width, 4 * (grid.points - 1) + 1), k=2)
+    assert abs(splitting - refined.splitting) <= estimate
+
+
+def test_splitting_grows_through_validity_boundary():
+    values = [exact_splitting(from_eta(e))[0] for e in (0.55, 0.6, validity_boundary(), 0.65, 0.7)]
+    assert all(a < b for a, b in zip(values, values[1:])), values
+
+
+@pytest.mark.parametrize("eta_value", [1e-6, 1e-100])
+def test_default_grid_refuses_beyond_its_point_budget(eta_value):
+    # refused before anything is allocated, naming eta, the points needed and the budget
+    start = time.perf_counter()
+    message = rf"^eta={re.escape(repr(eta_value))} needs a grid of \S+ points, beyond the budget of {spectral._MAX_POINTS};"
+    with pytest.raises(ValueError, match=message):
+        exact_splitting(from_eta(eta_value))
+    assert time.perf_counter() - start < 1.0
+    assert default_grid(from_eta(0.003)).points < spectral._MAX_POINTS
 
 
 def test_default_grid_is_the_grid_none_means():
@@ -226,8 +265,8 @@ def test_default_grid_is_the_grid_none_means():
 
 
 def test_exact_splitting_boxes_the_well_once(monkeypatch):
-    # the default grid clears the box margin by construction, so the validity
-    # guard and the turning points run once, not again as a box check
+    # the default grid clears the box margin by construction, so the box is
+    # computed once, not again as a margin check
     calls = []
     original = spectral._outer_turning_point
     monkeypatch.setattr(spectral, "_outer_turning_point", lambda p: calls.append(p) or original(p))
