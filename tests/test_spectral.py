@@ -231,6 +231,15 @@ def test_spectral_imports_only_model_and_perturbation():
     assert local == {"model", "perturbation"}
 
 
+def test_exact_splitting_domain_guard():
+    # eta0 is no edge of the eigensolver; float64 is: too small an eta needs a
+    # grid beyond the point budget, too large a one a V that swamps the off-diagonal
+    with pytest.raises(ValueError, match=r"^eta=1e-06 needs a grid of "):
+        exact_splitting(from_eta(1e-6))
+    with pytest.raises(ValueError, match=r"^eta=1e\+100: V reaches .* below its float64 rounding$"):
+        exact_splitting(from_eta(1e100))
+
+
 @pytest.mark.parametrize("eta_value, expected", [(0.65, 0.33785), (0.8, 0.47793)])
 def test_exact_splitting_resolves_beyond_validity_boundary(eta_value, expected):
     # eta0 bounds the paper's level, not the Hamiltonian: the doublet is there,
