@@ -70,9 +70,11 @@ def _chunks() -> np.ndarray:
 
 
 _CHUNKS = _chunks()
+#: '000' + d0 as one uint32, for d0 = 0-9
+_LEAD = np.frombuffer(b"".join(b"000%d" % d for d in range(10)), np.uint32)
 # A value's source row: three spare bytes, then Z = '0000' + d0..d16, the
-# digits of its 17-digit integer D with trailing zeros as NUL (d1..d16 as
-# four aligned chunks).
+# digits of its 17-digit integer D with trailing zeros as NUL (six aligned
+# words: spare bytes and '0', '000' + d0, then d1..d16 as four chunks).
 _Z = 3
 _SOURCE_WIDTH = _Z + 21
 
@@ -82,8 +84,9 @@ def _shortest(a: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     integer; ok is False where repr must decide."""
     bits = a.view(np.uint64)
     s = 16 - E
+    scale = np.take(_POW10, s)
     # Dekker's two-product: X = a * 10**s = hi + lo exactly
-    hi = a * np.take(_POW10, s)
+    hi = a * scale
     ah, al = _split(a)
     ph, pl = np.take(_POW10_HIGH, s), np.take(_POW10_LOW, s)
     lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
@@ -93,7 +96,7 @@ def _shortest(a: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     H = hi.astype(np.int64) + nearest.astype(np.int64)
     lo -= nearest
     # half the rounding interval, 2**(q-1) * 10**s, from the exponent bits
-    w = ((bits >> np.uint64(52)) - np.uint64(53) << np.uint64(52)).view(np.float64) * np.take(_POW10, s)
+    w = ((bits >> np.uint64(52)) - np.uint64(53) << np.uint64(52)).view(np.float64) * scale
 
     def inside(j):
         return (lo > j - w) & (lo < j + w)
@@ -111,6 +114,12 @@ def _shortest(a: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return D, ~(in16 & ~in15 & tie16)
 
 
+def _cells(a: np.ndarray, rows: slice, start: int, length: int) -> np.ndarray:
+    """`length` bytes from `start` in each of `rows` of a 2-D uint8 array, as one
+    void item per row, so that a copy moves each row's run at once."""
+    return a[rows, start : start + length].view(f"V{length}")
+
+
 def csv_rows(values: np.ndarray, line_end: str) -> bytes:
     """The bytes of `((values.shape[1] * '%r,' + line_end) * len(values)) %
     tuple(values.ravel().tolist())`, for a 2-D float64 array."""
@@ -125,21 +134,23 @@ def csv_rows(values: np.ndarray, line_end: str) -> bytes:
     E = ((bits >> np.uint64(52)).astype(np.int64) - 1023) * 78913 >> 18
     E += a >= np.take(_CEIL_POW10, E + (1 - _E_MIN))
     # sorted by (sign, E), each class is one run, laid out by slice copies
-    key = (np.signbit(x) * _CLASSES + (E - _E_MIN)).astype(np.uint8)
+    key = np.signbit(x).view(np.uint8) * np.uint8(_CLASSES) + (E - _E_MIN).astype(np.uint8)
     order = np.argsort(key, kind="stable")
     D, ok = _shortest(a[order], E[order])
     fast = fast[order] & ok
     # D = d0 c1 c2 c3 c4 in 4-digit chunks; a chunk's trailing zeros are NUL
-    # when every later chunk is 0 (floor division by a constant is the fast one)
+    # when every later chunk is 0 (floor division by a constant is the fast one,
+    # and both halves of the 10**8 split fit the faster int32)
     top = D // 10**8
-    rest = D - top * 10**8
+    rest = (D - top * 10**8).astype(np.int32)
+    top = top.astype(np.int32)
     high, low = top // 10_000, rest // 10_000
     d0 = high // 10_000
     c1, c2, c4 = high - d0 * 10_000, top - high * 10_000, rest - low * 10_000
     source = np.empty((len(x), _SOURCE_WIDTH), np.uint8)
-    source[:, _Z : _Z + 4] = ord("0")
-    source[:, _Z + 4] = d0 + ord("0")
     chunks = source.view(np.uint32)
+    chunks[:, 0] = _LEAD[0]
+    chunks[:, 1] = np.take(_LEAD, d0)
     chunks[:, 2] = np.take(_CHUNKS, c1 + 10_000 * ((rest == 0) & (c2 == 0)))
     chunks[:, 3] = np.take(_CHUNKS, c2 + 10_000 * (rest == 0))
     chunks[:, 4] = np.take(_CHUNKS, low + 10_000 * (c4 == 0))
@@ -154,9 +165,10 @@ def csv_rows(values: np.ndarray, line_end: str) -> bytes:
         neg, decpt = k // _CLASSES, k % _CLASSES + _E_MIN + 1
         ip = max(decpt, 1)
         z = _Z + 4 + decpt - ip
-        text[run, neg : neg + ip] = source[run, z : z + ip]
-        text[run, neg + ip] = ord(".")
-        text[run, neg + ip + 1 : neg + 1 + _SOURCE_WIDTH - z] = source[run, z + ip :]
+        point, frac = neg + ip, _SOURCE_WIDTH - z - ip
+        _cells(text, run, neg, ip)[...] = _cells(source, run, z, ip)
+        text[run, point] = ord(".")
+        _cells(text, run, point + 1, frac)[...] = _cells(source, run, z + ip, frac)
         if neg:
             text[run, 0] = ord("-")
     slow = np.flatnonzero(~fast)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
+import time
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -38,13 +38,17 @@ CSV_HEADER = (
     "ln_dE_instanton,delta,ratio_corrected,ratio_uncorrected"
 )
 _COLUMNS = CSV_HEADER.split(",")
-#: rows per array pass of `sweep`.  Every block is kept until all are known to
-#: be finite (so that no partial file is written), so blocking bounds the
-#: kernel's and the writer's per-pass temporaries: a log-spaced 10^4-row sweep
-#: in one pass peaked at 58.2 MB RSS against 33.9 MB in blocks (in a process
-#: that loads only doublewell.cli and numpy, after a 100-row warm-up sweep;
-#: Python 3.11.7, numpy 2.4.6, 2-vCPU Xeon VM)
-_BLOCK_ROWS = 1024
+#: rows per `csv_rows` block of `sweep`, which bounds the writer's temporaries.
+#: The kernel runs once over the whole grid, so its temporaries grow with
+#: --steps, beside the table's 96 B/row.  A warm 10^4-row sweep ran about 5%
+#: slower in 1024- and in 4096-row blocks (with glibc's malloc thresholds
+#: raised, so that no block faults in fresh pages); at 4096 rows the writer's
+#: temporaries outgrow a core's 2 MB L2.  Peak RSS (VmHWM) of a process that
+#: loads only doublewell.cli and numpy, runs a 100-row warm-up sweep and then
+#: one log-spaced sweep, against 1024-row kernel and writer blocks: 34.5 -> 36.6
+#: MB at 10^4 rows, 43.8 -> 57.8 MB (about 140 B/row more) at 10^5 rows; medians
+#: of 5, Python 3.11.7, numpy 2.4.6, 2-vCPU Xeon VM
+_BLOCK_ROWS = 2048
 
 #: Reference values of the corrected ratio sqrt(e/pi)*delta(eta), printed to
 #: five decimal places; `table1` recomputes and verifies every row.
@@ -63,8 +67,8 @@ REFERENCE_RATIOS: tuple[tuple[float, float], ...] = (
 def _sweep_grid(args: argparse.Namespace) -> np.ndarray:
     """The ascending eta grid of a sweep request, after checking its options.
 
-    The validity boundary is checked here, before any block is computed, not
-    left to the kernel's guard, which would fire only at the first block past it.
+    The validity boundary is checked here, before the kernel runs, so that the
+    refusal names the requested range rather than one eta of the grid.
     """
     eta_min, eta_max = (positive_scalar(getattr(args, name), name) for name in ("eta_min", "eta_max"))
     steps = whole_number(args.steps, "steps", 2)
@@ -139,13 +143,10 @@ def cmd_table1(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     grid = _sweep_grid(args)
     whole_number(args.jobs, "jobs", 1)
-    blocks = []
-    for first in range(0, len(grid), _BLOCK_ROWS):
-        block = semiclassics.splitting_table(grid[first : first + _BLOCK_ROWS])
-        bad = np.argwhere(~np.isfinite(block))
-        if len(bad):
-            raise ValueError(f"column {_COLUMNS[bad[0][1]]} is not finite")
-        blocks.append(block)
+    # one kernel pass over the grid, checked whole before any file is opened
+    table = semiclassics.splitting_table(grid)
+    if not np.isfinite(table).all():
+        raise ValueError(f"column {_COLUMNS[np.argwhere(~np.isfinite(table))[0][1]]} is not finite")
     from ._shortrepr import csv_rows
 
     # each float as repr writes it; ratio_uncorrected is sqrt(e/pi) on every
@@ -153,8 +154,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     line_end = repr(semiclassics.SQRT_E_OVER_PI) + "\n"
     with open(args.out, "wb") as fh:
         fh.write(CSV_HEADER.encode() + b"\n")
-        for block in blocks:
-            fh.write(csv_rows(block[:, :-1], line_end))
+        for first in range(0, len(grid), _BLOCK_ROWS):
+            fh.write(csv_rows(table[first : first + _BLOCK_ROWS, :-1], line_end))
     print(f"wrote {len(grid)} rows to {args.out}")
     return 0
 
@@ -300,14 +301,23 @@ def _validation_checks() -> Iterator[_Check]:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    checks = list(_validation_checks())
+    # each check with the wall time since the one before it, or since the start
+    checks, seconds = [], []
+    last = time.perf_counter()
+    for check in _validation_checks():
+        now = time.perf_counter()
+        checks.append(check)
+        seconds.append(now - last)
+        last = now
     passed = all(c.status != "fail" for c in checks)
     if args.as_json:
+        import json
+
         # a non-finite value is written as null, so that the output stays strict JSON
         finite = [None if c.value is None or not math.isfinite(c.value) else c.value for c in checks]
         records = [
-            {"name": c.name, "status": c.status, "detail": c.detail, "value": value, "bound": c.bound}
-            for c, value in zip(checks, finite)
+            dict(name=c.name, status=c.status, detail=c.detail, value=value, bound=c.bound, seconds=span)
+            for c, value, span in zip(checks, finite, seconds)
         ]
         print(json.dumps({"checks": records, "passed": passed}, indent=2, allow_nan=False))
     else:

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+import doublewell.cli as cli
 import doublewell.semiclassics as semiclassics
 from doublewell import SQRT_E_OVER_PI, epsilon_closed_form, eta, from_eta
 from doublewell.cli import CSV_HEADER, REFERENCE_RATIOS, main
@@ -264,11 +265,20 @@ def test_sweep_jobs_starts_no_thread(tmp_path, monkeypatch):
 
 
 def test_sweep_refuses_nonfinite_column(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(semiclassics, "ln_delta_factor", lambda eta_value: np.full_like(eta_value, math.nan))
-    out = tmp_path / "nan.csv"
-    assert main(["sweep", "--steps", "5", "--out", str(out)]) == 2
-    assert "column ln_dE_asym is not finite" in capsys.readouterr().err
-    assert not out.exists()
+    # delta is NaN from a cut in eta on, however the kernel is called: over the
+    # whole grid, or only in the last rows of one longer than two writer blocks.
+    # Either way the sweep exits 2 naming the first bad column, with no file
+    ln_delta = semiclassics.ln_delta_factor
+    for steps, first_nan in ((5, 0), (2 * cli._BLOCK_ROWS + 3, 2 * cli._BLOCK_ROWS + 1)):
+        cut = np.linspace(0.02, 0.15, steps)[first_nan]
+        monkeypatch.setattr(
+            semiclassics, "ln_delta_factor",
+            lambda eta_value, cut=cut: np.where(eta_value >= cut, math.nan, ln_delta(eta_value)),
+        )
+        out = tmp_path / f"nan{steps}.csv"
+        assert main(["sweep", "--steps", str(steps), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: column ln_dE_asym is not finite\n"
+        assert not out.exists()
 
 
 def _assert_rows_equal_one_row_reports(tmp_path, steps, spacing, eta_min=0.021, eta_max=0.149):
@@ -294,10 +304,11 @@ def test_sweep_rows_equal_one_row_reports(tmp_path, spacing):
     _assert_rows_equal_one_row_reports(tmp_path, 1100, spacing)
 
 
-@pytest.mark.parametrize("steps", [1024, 1025, 2048])
+@pytest.mark.parametrize("steps", [cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1, 2 * cli._BLOCK_ROWS + 1])
 def test_sweep_block_edges_equal_one_row_reports(tmp_path, steps):
-    # each 1024-row block is formatted as one array: a full last block and a
-    # one-row last block hold the same bytes as the one-row tables
+    # each _BLOCK_ROWS-row view of the one kernel table is formatted as one
+    # array: a full last block and a one-row last block hold the same bytes as
+    # the one-row tables
     _assert_rows_equal_one_row_reports(tmp_path, steps, "linear")
 
 
@@ -542,13 +553,19 @@ def test_nan_sample_fails_validate(monkeypatch, capsys, check):
     assert f"FAIL    {check}: " in capsys.readouterr().out
 
 
+def test_validate_json_times_every_check(capsys):
+    assert main(["validate", "--json"]) == 0
+    seconds = [record["seconds"] for record in json.loads(capsys.readouterr().out)["checks"]]
+    assert seconds and all(isinstance(s, float) and math.isfinite(s) and s >= 0.0 for s in seconds)
+
+
 def test_validate_status_follows_value_and_bound(capsys):
     assert main(["validate", "--json"]) == 0
     records = json.loads(capsys.readouterr().out)["checks"]
     assert main(["validate"]) == 0
     lines = capsys.readouterr().out.splitlines()
     for record in records:
-        assert list(record) == ["name", "status", "detail", "value", "bound"]
+        assert list(record) == ["name", "status", "detail", "value", "bound", "seconds"]
         value, bound = record["value"], record["bound"]
         if bound is None:
             assert value is None and record["status"] == "skipped"

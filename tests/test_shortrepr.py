@@ -110,3 +110,10 @@ def test_importing_the_cli_does_not_load_the_formatter():
     code = "import sys, doublewell.cli; print('doublewell._shortrepr' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_importing_the_cli_does_not_load_json():
+    # only validate --json needs it, so every other command skips its import
+    code = "import sys, doublewell.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'json'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
