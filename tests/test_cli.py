@@ -304,11 +304,13 @@ def test_sweep_rows_equal_one_row_reports(tmp_path, spacing):
     _assert_rows_equal_one_row_reports(tmp_path, 1100, spacing)
 
 
-@pytest.mark.parametrize("steps", [cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1, 2 * cli._BLOCK_ROWS + 1])
+@pytest.mark.parametrize(
+    "steps", [1024, 1025, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1, 2 * cli._BLOCK_ROWS + 1]
+)
 def test_sweep_block_edges_equal_one_row_reports(tmp_path, steps):
     # each _BLOCK_ROWS-row view of the one kernel table is formatted as one
-    # array: a full last block and a one-row last block hold the same bytes as
-    # the one-row tables
+    # array: a grid inside one partial block, a full last block and a one-row
+    # last block hold the same bytes as the one-row tables
     _assert_rows_equal_one_row_reports(tmp_path, steps, "linear")
 
 
