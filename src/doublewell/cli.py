@@ -269,16 +269,6 @@ def _validation_checks() -> Iterator[_Check]:
     crossing = 0.5 * (lo + hi)
     yield _Check("crossing-location", abs(crossing - 0.122513), 5e-6, f"root at eta = {crossing:.7f}")
 
-    defects = []
-    for e in np.linspace(0.02, 0.3, 20).tolist():
-        # natural units, hbar w = 1
-        lhs = semiclassics.ratio_wkb_instanton(e) * math.exp(semiclassics.ln_splitting_instanton(e))
-        rhs = semiclassics.splitting_asymptotic(from_eta(e))
-        if rhs != 0.0:  # the eta = 0.02 splitting underflows
-            defects.append(abs(lhs - rhs) / rhs)
-    worst = float(np.max(defects))
-    yield _Check("consistency-triangle", worst, 1e-12, f"max relative defect = {worst:.3e}")
-
     # spectral oracle, where the solver can certify the doublet: 1/2 <= asymptotic/exact <= 2
     resolved: list[tuple[float, float]] = []
     for e in (0.14, 0.16, 0.18, 0.2):

@@ -210,7 +210,14 @@ def _wkb_route(eta_value, half_separation, epsilon=None) -> np.ndarray:
 
 
 def _one_row(p: WellParameters, level: PerturbedLevel | None = None) -> SplittingReport:
-    """The report at the well p, with the WKB route taken at `level` if given."""
+    """The report at the well p, with the WKB route taken at `level` if given:
+    a level of p, at hbar w / 2 of p as perturbed_level gives it, with its epsilon."""
+    if level is not None:
+        half_hw = 0.5 * p.hbar * p.angular_frequency
+        if level.unperturbed != half_hw:
+            raise ValueError(f"level.unperturbed={level.unperturbed!r} is not hbar*w/2 = {half_hw!r} of the well")
+        if level.epsilon is None:
+            raise ValueError("level.epsilon=None; a level needs its fractional shift")
     row = _wkb_route(eta_of(p), p.half_separation, epsilon=None if level is None else level.epsilon)
     return SplittingReport(*row[0].tolist())
 

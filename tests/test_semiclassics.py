@@ -182,6 +182,21 @@ def test_level_at_or_below_well_bottom_rejected(epsilon):
 
 
 @pytest.mark.parametrize(
+    "level, field",
+    [(PerturbedLevel(unperturbed=17.0, epsilon=0.01), "unperturbed"), (PerturbedLevel(0.5, None), "epsilon")],
+)
+def test_level_of_another_well_or_without_shift_rejected(level, field):
+    # a level is read whole: hbar w / 2 of this well (0.5 in natural units) and a given epsilon
+    p = from_eta(0.1)
+    for entry_point in (turning_points, ln_splitting_wkb_exact):
+        with pytest.raises(ValueError, match=rf"^level\.{field}="):
+            entry_point(p, level)
+    # perturbed_level's levels of a physical well pass
+    q = WellParameters(mass=2.0, angular_frequency=0.5, half_separation=10.0, hbar=3.0)
+    assert turning_points(q, perturbed_level(q)) == splitting_report(q)
+
+
+@pytest.mark.parametrize(
     "bad",
     [
         np.array([10.0, -10.0]), np.array([0.1, math.nan]), 0.0, None, "0.1", True, 0.1 + 0.0j,
@@ -350,6 +365,16 @@ def test_log_ratio_identity_between_routes():
     for eta_value in np.linspace(0.01, 0.3, 30):
         gap = ln_splitting_asymptotic(eta_value) - ln_splitting_instanton(eta_value)
         assert gap == pytest.approx(math.log(ratio_wkb_instanton(eta_value)), abs=1e-12)
+    # and in energy units, through from_eta's round trip (hbar w = 1): the
+    # ratio times the instanton splitting is the asymptotic splitting
+    compared = 0
+    for eta_value in np.linspace(0.02, 0.3, 20).tolist():
+        asymptotic = splitting_asymptotic(from_eta(eta_value))
+        if asymptotic != 0.0:  # the eta = 0.02 splitting underflows
+            product = ratio_wkb_instanton(eta_value) * math.exp(ln_splitting_instanton(eta_value))
+            assert abs(product - asymptotic) <= 1e-12 * asymptotic, eta_value
+            compared += 1
+    assert compared == 19
 
 
 def test_quadrature_route_agrees_with_asymptotic_route():
