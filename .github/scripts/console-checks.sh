@@ -2,7 +2,7 @@
 # Every subcommand and every splitting method through the installed
 # `doublewell` entry point, so a stale import or a RuntimeWarning (run under
 # PYTHONWARNINGS=error::RuntimeWarning) fails here.
-# Usage: console-checks.sh OUTDIR   (writes sweep.csv and default.csv there)
+# Usage: console-checks.sh OUTDIR   (writes sweep.csv, default.csv and never.err there)
 set -euo pipefail
 out="$1"
 
@@ -18,6 +18,11 @@ doublewell table1
 doublewell validate
 doublewell validate --json
 doublewell sweep --steps 10 --out "$out/sweep.csv"
+# a refused sweep prints one error line, no traceback, and writes no file
+expect_exit 2 doublewell sweep --eta-max 0.7 --out "$out/never.csv" 2> "$out/never.err"
+test "$(head -c 7 "$out/never.err")" = "error: "
+test "$(wc -l < "$out/never.err")" -eq 1
+test ! -e "$out/never.csv"
 # a formula line computes at the eta given and echoes it, though the
 # well a = 1/0.122513 implies an eta 1 ulp below it
 for method in wkb-exact asymptotic instanton; do

@@ -4,8 +4,8 @@ Subcommands: `table1` (print and verify the built-in reference table of
 corrected-ratio values), `sweep` (emit the ratio curves as CSV), `splitting`
 (one splitting by one method), `validate` (cross-module invariant suite).
 
-Exit codes: 0 success, 1 validation mismatch, 2 usage or domain error,
-3 numerical failure (the eigensolver refuses a doublet below resolution).
+Exit codes: 0 success, 1 validation mismatch, 2 usage, domain or allocation
+error, 3 numerical failure (the eigensolver refuses a doublet below resolution).
 """
 
 from __future__ import annotations
@@ -321,8 +321,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # a bare MemoryError, as Python raises it, has no message of its own
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except (ResolutionError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -101,12 +101,6 @@ class WellParameters:
             raise ValueError(f"eta = sqrt(hbar / (m w a^2)) over- or underflows float64 for {self!r}")
 
     @property
-    def barrier_height(self) -> float:
-        """V(0) = m w^2 a^2 / 8."""
-        m, w, a = self.mass, self.angular_frequency, self.half_separation
-        return m * w * w * a * a / 8.0
-
-    @property
     def oscillator_length(self) -> float:
         """sqrt(hbar / (m w)), the length scale of the per-well ground state."""
         return math.sqrt(self.hbar / (self.mass * self.angular_frequency))

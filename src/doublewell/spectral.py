@@ -28,8 +28,7 @@ __all__ = [
     "exact_splitting",
 ]
 
-_EPS = float(np.finfo(float).eps)
-# Fraction of the matrix-scale rounding bound eps * ||H|| taken as the noise
+# Fraction of the matrix-scale rounding bound _ULP * ||H|| taken as the noise
 # on E1 - E0, calibrated against grid-to-grid scatter of degenerate doublets.
 # It is not a bound: against the exact eigenvalues of the same float64 matrix
 # (40-digit Sturm bisection), E1 - E0 at eta = 0.2 is off by 2.2 floors on the
@@ -64,10 +63,6 @@ class GridSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "half_width", positive_scalar(self.half_width, "half_width"))
         object.__setattr__(self, "points", whole_number(self.points, "points", 201))
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.half_width / (self.points - 1)
 
 
 @dataclass(frozen=True)
@@ -279,9 +274,9 @@ def solve_spectrum(
         diag, off, norm = _matrix(p, grid.half_width, n, potential_fn)
         levels.append(eigh_tridiagonal(diag, off, k))
     coarse, fine = levels
-    # eps * ||H|| on the fine grid bounds the backward error of the eigensolve;
+    # _ULP * ||H|| on the fine grid bounds the backward error of the eigensolve;
     # _NOISE_FRACTION of it is taken as the forward noise on close eigenvalues
-    floor = _NOISE_FRACTION * _EPS * norm
+    floor = _NOISE_FRACTION * _ULP * norm
     extrapolated = fine + (fine - coarse) / 3.0
     level_estimates = np.abs(fine - coarse) / 3.0 + floor
     d_coarse = coarse[1] - coarse[0]

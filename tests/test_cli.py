@@ -243,16 +243,6 @@ def test_sweep_writes_csv(tmp_path, capsys):
         )
 
 
-def test_sweep_byte_determinism_across_runs_and_schedules(tmp_path):
-    paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
-    base = ["sweep", "--steps", "25", "--eta-min", "0.02", "--eta-max", "0.15"]
-    assert main(base + ["--out", str(paths[0])]) == 0
-    assert main(base + ["--out", str(paths[1])]) == 0
-    assert main(base + ["--out", str(paths[2]), "--jobs", "4"]) == 0
-    blobs = [path.read_bytes() for path in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
-
-
 def test_sweep_jobs_starts_no_thread(tmp_path, monkeypatch):
     # --jobs is a compatibility no-op: evaluation stays in the calling thread
     def refuse(self):
@@ -278,6 +268,23 @@ def test_sweep_refuses_nonfinite_column(tmp_path, monkeypatch, capsys):
         out = tmp_path / f"nan{steps}.csv"
         assert main(["sweep", "--steps", str(steps), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: column ln_dE_asym is not finite\n"
+        assert not out.exists()
+
+
+def test_failed_allocation_is_a_domain_error(tmp_path, monkeypatch, capsys):
+    # a grid too large for memory (say --steps 100000000000, 745 GiB) fails in
+    # numpy with a MemoryError subclass; it exits 2 with an error line, not 1
+    # with a traceback.  The allocation is faked: a host that overcommits
+    # memory would page rather than fail
+    message = "Unable to allocate 745. GiB for an array with shape (100000000000,) and data type float64"
+    for exc, err in ((MemoryError(message), f"error: {message}\n"), (MemoryError(), "error: MemoryError\n")):
+        def fail(grid, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(semiclassics, "splitting_table", fail)
+        out = tmp_path / "never.csv"
+        assert main(["sweep", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == err
         assert not out.exists()
 
 

@@ -15,15 +15,10 @@ from doublewell import WellParameters, eta, from_eta, potential
 
 def test_potential_vanishes_at_minima():
     p = WellParameters(mass=1.3, angular_frequency=0.7, half_separation=2.5, hbar=1.1)
-    v0 = p.barrier_height
+    v0 = potential(p, 0.0)
+    assert v0 == pytest.approx(1.3 * 0.7**2 * 2.5**2 / 8.0, rel=1e-15)  # the barrier, m w^2 a^2 / 8
     assert abs(potential(p, p.half_separation)) <= 1e-15 * v0
     assert abs(potential(p, -p.half_separation)) <= 1e-15 * v0
-
-
-def test_barrier_height_at_origin():
-    p = WellParameters(mass=2.0, angular_frequency=1.5, half_separation=3.0, hbar=1.0)
-    assert potential(p, 0.0) == pytest.approx(2.0 * 1.5**2 * 3.0**2 / 8.0, rel=1e-15)
-    assert p.barrier_height == pytest.approx(potential(p, 0.0), rel=1e-15)
 
 
 def test_potential_direct_value_and_expanded_polynomial():
@@ -42,14 +37,14 @@ def test_potential_direct_value_and_expanded_polynomial():
 def test_potential_symmetry(u: float):
     p = WellParameters(mass=1.0, angular_frequency=2.0, half_separation=1.7, hbar=1.0)
     x = u * p.half_separation
-    assert abs(potential(p, x) - potential(p, -x)) <= 1e-12 * p.barrier_height
+    assert abs(potential(p, x) - potential(p, -x)) <= 1e-12 * potential(p, 0.0)
 
 
 def test_potential_symmetry_dense_grid():
     p = WellParameters(half_separation=4.0)
     rng = np.random.default_rng(7)
     x = rng.uniform(-3.0 * p.half_separation, 3.0 * p.half_separation, size=1000)
-    assert np.all(np.abs(potential(p, x) - potential(p, -x)) <= 1e-12 * p.barrier_height)
+    assert np.all(np.abs(potential(p, x) - potential(p, -x)) <= 1e-12 * potential(p, 0.0))
 
 
 def test_quartic_growth():

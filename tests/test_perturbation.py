@@ -20,6 +20,7 @@ from doublewell import (
     epsilon_series_coefficients,
     from_eta,
     perturbed_level,
+    potential,
     rs_engine,
     validity_boundary,
 )
@@ -168,14 +169,14 @@ def test_below_barrier_flag_matches_energy_comparison(value: float):
     p = from_eta(value)
     level = perturbed_level(p)
     criterion = 4.0 * value * value * (1.0 + level.epsilon) < 1.0
-    assert (level.energy < p.barrier_height) == criterion
+    assert (level.energy < potential(p, 0.0)) == criterion
 
 
 @given(value=st.floats(min_value=0.005, max_value=0.60))
 def test_below_barrier_throughout_working_range(value: float):
     # below the validity boundary the standard level always sits under the barrier
     p = from_eta(value)
-    assert perturbed_level(p).energy < p.barrier_height
+    assert perturbed_level(p).energy < potential(p, 0.0)
 
 
 def test_below_barrier_with_negative_shift():
@@ -184,7 +185,7 @@ def test_below_barrier_with_negative_shift():
     p = from_eta(0.49)
     level = perturbed_level(p)
     assert level.epsilon < -0.25
-    assert level.energy < p.barrier_height
+    assert level.energy < potential(p, 0.0)
 
 
 def test_validity_boundary_standard():
