@@ -125,19 +125,16 @@ _parser = functools.cache(build_parser)
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    mismatches = []
+    code = 0
     print(f"{'eta':>10}  {'ratio':>8}  {'reference':>9}  status")
     for et, reference in REFERENCE_RATIOS:
         ratio = semiclassics.ratio_wkb_instanton(et)
         ok = abs(ratio - reference) <= 1.0e-5
         print(f"{et:>10g}  {ratio:8.5f}  {reference:9.5f}  {'ok' if ok else 'MISMATCH'}")
         if not ok:
-            mismatches.append((et, ratio, reference))
-    if mismatches:
-        for et, ratio, reference in mismatches:
             print(f"mismatch at eta={et:g}: computed {ratio:.7f}, reference {reference:.5f}", file=sys.stderr)
-        return 1
-    return 0
+            code = 1
+    return code
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -304,7 +304,7 @@ def default_grid(p: WellParameters) -> GridSpec:
     half_width = _outer_turning_point(p) + 6.0 * s
     span = 2.0 * half_width / (0.06 * s)
     # compared as a float, before any int is made (eta = 1e-100 needs 3e101
-    # points); n below, rounded up to odd, then stays within the odd budget
+    # points); n below is odd, within the odd budget and, as span >= 200, >= 201
     if not span <= _MAX_POINTS - 1:
         raise ValueError(
             f"eta={eta(p)!r} needs a grid of {span + 1.0:.4g} points, beyond the "
@@ -313,7 +313,7 @@ def default_grid(p: WellParameters) -> GridSpec:
     n = int(math.ceil(span)) + 1
     if n % 2 == 0:
         n += 1
-    return GridSpec(half_width=half_width, points=max(n, 201))
+    return GridSpec(half_width=half_width, points=n)
 
 
 def exact_splitting(p: WellParameters) -> tuple[float, float]:

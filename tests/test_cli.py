@@ -82,8 +82,9 @@ def test_splitting_spectral_resolved(capsys):
     assert float(fields["dE"]) == pytest.approx(6.117438798858288e-07, rel=1e-6)
 
 
-def test_splitting_spectral_unresolvable_is_numerical_failure(capsys):
-    assert main(["splitting", "--eta", "0.05", "--method", "spectral"]) == 3
+@pytest.mark.parametrize("eta_value", ["0.05", "0.1"])
+def test_splitting_spectral_unresolvable_is_numerical_failure(eta_value, capsys):
+    assert main(["splitting", "--eta", eta_value, "--method", "spectral"]) == 3
     assert "below numerical resolution" in capsys.readouterr().err
 
 
@@ -321,11 +322,13 @@ def test_sweep_block_edges_equal_one_row_reports(tmp_path, steps):
     _assert_rows_equal_one_row_reports(tmp_path, steps, "linear")
 
 
-def test_sweep_rows_equal_one_row_reports_where_repr_decides(tmp_path):
+@pytest.mark.parametrize("steps", [1100, 2 * cli._BLOCK_ROWS + 1])
+def test_sweep_rows_equal_one_row_reports_where_repr_decides(tmp_path, steps):
     # over [0.001, 0.6] the writer hands a third of the epsilon column to repr:
     # epsilon is below 1e-4 up to eta = 0.008 and crosses 0 near eta = 0.362, and
-    # repr writes it in exponent notation there
-    _assert_rows_equal_one_row_reports(tmp_path, 1100, "log", 0.001, 0.6)
+    # repr writes it in exponent notation there; the longer grid carries that
+    # fallback across two block edges into a one-row last block
+    _assert_rows_equal_one_row_reports(tmp_path, steps, "log", 0.001, 0.6)
 
 
 def test_default_sweep_eta_column_is_the_grid(tmp_path):
@@ -485,8 +488,12 @@ def test_corrupted_correction_factor_is_caught(monkeypatch, capsys):
     monkeypatch.setattr(semiclassics, "delta_factor", flipped)
 
     assert main(["table1"]) == 1
-    out = capsys.readouterr().out
-    assert out.count("MISMATCH") == len(REFERENCE_RATIOS)
+    captured = capsys.readouterr()
+    assert captured.out.count("MISMATCH") == len(REFERENCE_RATIOS)
+    # one stderr line per reference row, in row order
+    named = [re.match(r"mismatch at eta=(\S+): computed \S+, reference (\S+)$", line).groups()
+             for line in captured.err.splitlines()]
+    assert named == [(f"{et:g}", f"{reference:.5f}") for et, reference in REFERENCE_RATIOS]
 
     assert main(["validate", "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)

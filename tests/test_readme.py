@@ -1,12 +1,20 @@
-"""The README's library quick start runs as written and gives what its comments quote."""
+"""The README's library quick start runs as written and gives what its comments
+quote, its command examples print what it records, and the package it documents
+imports nothing beyond the standard library and numpy."""
 
 from __future__ import annotations
 
 import ast
 import re
+import sys
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+import pytest
+
+from doublewell.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _quick_start() -> str:
@@ -83,3 +91,44 @@ def test_public_names_are_the_documented_surface():
     # named in code: in backticks, or as dw.name in the quick start
     undocumented = [name for name in doublewell.__all__ if not re.search(rf"(`|dw\.){name}\b", text)]
     assert not undocumented
+
+
+def _absolute_imports(source: str) -> set[str]:
+    """Top-level module names of every absolute import, those inside functions included."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_runtime_imports_only_the_standard_library_and_numpy():
+    # the runtime depends on numpy alone, so every tier-1 result also holds on
+    # an install without extras; the package's own modules import each other
+    # relatively, and the quick start imports it by name
+    allowed = sys.stdlib_module_names | {"numpy"}
+    for path in sorted((ROOT / "src" / "doublewell").rglob("*.py")):
+        assert _absolute_imports(path.read_text(encoding="utf-8")) - allowed == set(), path
+    assert _absolute_imports(_quick_start()) - allowed == {"doublewell"}
+
+
+def test_readme_command_examples_print_what_it_records(capsys):
+    recorded = dict(re.findall(r"^\$ doublewell (.+)\n(.+)$", README.read_text(encoding="utf-8"), re.M))
+    spectral, wkb = "splitting --eta 0.2 --method spectral", "splitting --a 10 --method wkb-exact"
+    assert sorted(recorded) == sorted([spectral, wkb])
+    # the eigensolver's line calls no numpy log or exp (its eigenvalues come from
+    # the pure-Python dstebz port), so its bytes are pinned
+    assert main(spectral.split()) == 0
+    assert capsys.readouterr().out == recorded[spectral] + "\n"
+    # the formula routes go through numpy's log and exp, whose last bit is not
+    # shown to be the same on every CPU target
+    assert main(wkb.split()) == 0
+    printed, quoted = (
+        dict(token.split("=", 1) for token in line.split()) for line in (capsys.readouterr().out, recorded[wkb])
+    )
+    assert printed.keys() == quoted.keys()
+    assert (printed["method"], printed["eta"]) == (quoted["method"], quoted["eta"])
+    for key in ("dE", "ln_dE_over_hbar_omega", "rel_estimate"):
+        assert float(printed[key]) == pytest.approx(float(quoted[key]), rel=1e-12), key
