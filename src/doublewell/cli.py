@@ -253,16 +253,12 @@ def _validation_checks() -> Iterator[_Check]:
     worst = float(np.max([abs(semiclassics.ratio_wkb_instanton(et) - ref) for et, ref in REFERENCE_RATIOS]))
     yield _Check("reference-table", worst, 1e-5, f"max |ratio - reference| = {worst:.3e}")
 
-    # locate the ratio = 1 crossing by bisection, independent of the table
+    # locate the ratio = 1 crossing by bisection, independent of the table; the
+    # ratio rises through it, and a NaN sample moves the upper end
     lo, hi = 0.1, 0.15
-    flo = semiclassics.ratio_wkb_instanton(lo) - 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        fmid = semiclassics.ratio_wkb_instanton(mid) - 1.0
-        if (flo < 0.0) == (fmid < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if semiclassics.ratio_wkb_instanton(mid) < 1.0 else (lo, mid)
     crossing = 0.5 * (lo + hi)
     yield _Check("crossing-location", abs(crossing - 0.122513), 5e-6, f"root at eta = {crossing:.7f}")
 

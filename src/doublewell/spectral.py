@@ -112,6 +112,13 @@ def eigh_tridiagonal(diag: np.ndarray, off: float, k: int) -> np.ndarray:
     the refinement interval replaces pivots with |t| < pivmin where its loop
     tests t <= pivmin; the rules differ only at t == pivmin exactly, and the
     port uses the loop's rule throughout.
+
+    dstebz steps that cannot change a value are skipped.  No eigenvalue lies
+    below the widened Gershgorin end gl, so N(gl) = 0 ends dstebz's search for
+    eigenvalue 1's lower end where it starts and zeroes its count at gl.  With
+    off^2 normal (checked below), sqrt(off^2) == |off|, so dstebz's second
+    Gershgorin pass only raises gl by FUDGE * pivmin, and its clamps to the
+    searched interval keep that gl and the search's upper end.
     """
     d = np.asarray(diag, dtype=float).tolist()
     n = len(d)
@@ -121,6 +128,11 @@ def eigh_tridiagonal(diag: np.ndarray, off: float, k: int) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     e = abs(float(off))
     e2 = e * e
+    if not (_TINY <= e2 < math.inf and all(math.isfinite(a * b) for a, b in zip(d, d[1:]))):
+        raise ValueError(
+            f"matrix outside the float64 range: the off-diagonal {float(off)!r} must square to a normal "
+            f"float (>= {_TINY!r}, finite) and neighbouring diagonal products must be finite"
+        )
     if any(abs(a * b) * _ULP**2 + _TINY > e2 for a, b in zip(d, d[1:])):
         raise ValueError("off-diagonal negligible against the diagonal: the matrix splits into blocks")
     pivmin = max(1.0, e2) * _TINY
@@ -142,48 +154,36 @@ def eigh_tridiagonal(diag: np.ndarray, off: float, k: int) -> np.ndarray:
     def converged(lo: float, hi: float, below: int, above: int, atol: float) -> bool:
         return below >= above or abs(hi - lo) < max(atol, pivmin, _RTOLI * max(abs(hi), abs(lo)))
 
-    def gershgorin(radius: float, low_pad: float) -> tuple[float, float, float]:
-        """Gershgorin interval widened as dstebz does, and its norm before widening.
-
-        dstebz takes (d_j + radius) + radius on inner rows and d_j + radius on
-        the two end rows; rounding is monotone, so the extremes of d give the
-        same floats as its loop."""
-        inner = d[1:-1]
-        gu = max(max(d[0], d[-1]) + radius, max(inner, default=-math.inf) + radius + radius)
-        gl = min(min(d[0], d[-1]) - radius, min(inner, default=math.inf) - radius - radius)
-        norm = max(abs(gl), abs(gu))
-        pad = _FUDGE * norm * _ULP * n
-        return gl - pad - low_pad * pivmin, gu + pad + _FUDGE * pivmin, norm
-
     def iterations(width: float) -> int:
         return int((math.log(width + pivmin) - math.log(pivmin)) / math.log(2.0)) + 2
 
-    def search(lo: float, hi: float, c: float, target: int, atol: float, itmax: int):
-        """dlaebz job 3: from the first point c, shrink [lo, hi] about a w with N(w) = target."""
-        below, above = -1, n + 1
-        for _ in range(itmax):
-            m = count(c)
-            if m <= target:
-                lo, below = c, m
-            if m >= target:
-                hi, above = c, m
-            if converged(lo, hi, below, above, atol):
-                break
-            c = 0.5 * (lo + hi)
-        return lo, hi, below, above
-
-    # locate eigenvalues 1..k in the whole matrix's Gershgorin interval
-    gl, gu, tnorm = gershgorin(math.sqrt(e2), 2.0 * _FUDGE)
-    itmax = iterations(tnorm)
-    wl = search(gl, gu, gl, 0, _ULP * tnorm, itmax)[0]
-    wul, wu = search(gl, gu, gu, k, _ULP * tnorm, itmax)[:2]
-    gl, gu, _ = gershgorin(e, _FUDGE)
+    # the Gershgorin interval, widened as dstebz widens it: dstebz takes
+    # (d_j + e) + e on inner rows and d_j + e on the two end rows; rounding is
+    # monotone, so the extremes of d give the same floats as its loop
+    inner = d[1:-1]
+    gu = max(max(d[0], d[-1]) + e, max(inner, default=-math.inf) + e + e)
+    gl = min(min(d[0], d[-1]) - e, min(inner, default=math.inf) - e - e)
+    tnorm = max(abs(gl), abs(gu))
+    pad = _FUDGE * tnorm * _ULP * n
+    gu = gu + pad + _FUDGE * pivmin
+    # dlaebz job 3: from gu, shrink [wul, wu] about a point with N = k
+    wul, wu, c = gl - pad - 2.0 * _FUDGE * pivmin, gu, gu
+    below, above = -1, n + 1
+    for _ in range(iterations(tnorm)):
+        m = count(c)
+        if m <= k:
+            wul, below = c, m
+        if m >= k:
+            wu, above = c, m
+        if converged(wul, wu, below, above, _ULP * tnorm):
+            break
+        c = 0.5 * (wul + wu)
+    gl = gl - pad - _FUDGE * pivmin
     atol = _ULP * max(abs(gl), abs(gu))
-    gl, gu = max(gl, wl), min(gu, wu)
-    # dlaebz job 1 counts the ends, job 2 bisects and keeps every half that holds eigenvalues
-    base, top = count(gl), count(gu)
-    active, done = [[gl, gu, base, top]], []
-    for _ in range(iterations(gu - gl)):
+    # dlaebz job 1 counts the ends, job 2 bisects [gl, wu] and keeps every half that holds eigenvalues
+    top = count(wu)
+    active, done = [[gl, wu, 0, top]], []
+    for _ in range(iterations(wu - gl)):
         for interval in list(active):
             lo, hi, below, above = interval
             c = 0.5 * (lo + hi)
@@ -204,14 +204,14 @@ def eigh_tridiagonal(diag: np.ndarray, off: float, k: int) -> np.ndarray:
     else:
         raise np.linalg.LinAlgError("eigh_tridiagonal: bisection did not converge")
     # a converged interval reports its midpoint once per eigenvalue it holds
-    w = [0.0] * (top - base)
+    w = [0.0] * top
     for lo, hi, below, above in done:
-        w[below - base:above - base] = [0.5 * (lo + hi)] * (above - below)
+        w[below:above] = [0.5 * (lo + hi)] * (above - below)
     if top > k:
         # [wul, wu] held eigenvalues beyond the k-th; dstebz drops the surplus
         # from the first values at or above wul, and what is left of it from the top
         start = next((i for i, x in enumerate(w) if x >= wul), len(w))
-        w = (w[:start] + w[start + top - k:])[: k - base]
+        w = (w[:start] + w[start + top - k:])[:k]
     return np.array(w)
 
 

@@ -113,6 +113,33 @@ def test_splitting_spectral_ends_cleanly_at_every_eta(eta_value, code, reason, c
     assert reason in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "hbar, a, code",
+    [
+        # eta = 0.2: the off-diagonal's square overflows
+        ("1e152", "5e76", 2),
+        # eta = 2 and eta = 0.2: products of neighbouring diagonal entries overflow
+        ("1e151", "1.5811388300841898e75", 2),
+        ("2e151", "2.2360679774997895e76", 2),
+        # eta = 0.2: the off-diagonal's square is subnormal
+        ("1e-160", "5e-80", 2),
+        ("1e150", "5e75", 0),
+        ("1e-150", "5e-75", 0),
+    ],
+)
+def test_splitting_spectral_refuses_energy_scales_beyond_float64(hbar, a, code, capsys):
+    # the port's arithmetic holds only while its matrix stays in float64's
+    # normal range; beyond it the well is refused by name, never by a NaN
+    # pivot floor or a matrix that only seems to split into blocks
+    assert main(["splitting", "--hbar", hbar, "--a", a, "--method", "spectral"]) == code
+    captured = capsys.readouterr()
+    assert ("method=spectral" in captured.out) == (code == 0)
+    if code:
+        assert re.fullmatch(r"error: matrix outside the float64 range: .* must be finite\n", captured.err)
+    else:
+        assert captured.err == ""
+
+
 @pytest.mark.parametrize("method", ["wkb-exact", "asymptotic", "instanton"])
 def test_splitting_computes_at_the_eta_given(method, capsys):
     # the natural-units well a = 1/0.122513 implies an eta 1 ulp below 0.122513,

@@ -349,17 +349,6 @@ def test_ratio_strictly_increasing_through_crossing():
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
-def test_ratio_crossing_location():
-    lo, hi = 0.12, 0.125
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if ratio_wkb_instanton(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    assert 0.5 * (lo + hi) == pytest.approx(0.122513, abs=5e-6)
-
-
 def test_log_ratio_identity_between_routes():
     # ln(dE_asym) - ln(dE_inst) must equal ln(sqrt(e/pi) delta(eta)).
     for eta_value in np.linspace(0.01, 0.3, 30):
