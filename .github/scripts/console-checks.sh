@@ -30,10 +30,12 @@ for method in wkb-exact asymptotic instanton; do
   doublewell splitting --eta 0.2 --method "$method"
   doublewell splitting --eta 0.122513 --method "$method" | grep -F " eta=0.122513 "
 done
-# the eigensolver answers beyond the validity boundary, and refuses a well
-# whose default grid would exceed its point budget
+# the eigensolver answers beyond the validity boundary, refuses a doublet
+# below resolution, and refuses a well whose default grid would exceed its
+# point budget
 doublewell splitting --eta 0.2 --method spectral
 doublewell splitting --eta 0.65 --method spectral
+expect_exit 3 doublewell splitting --eta 0.14 --method spectral
 expect_exit 2 doublewell splitting --eta 1e-6 --method spectral
 doublewell sweep --out "$out/default.csv"
 # a formula line is the sweep's row at its eta, under the sweep's guards:

@@ -15,6 +15,7 @@ import pytest
 
 import doublewell.cli as cli
 import doublewell.semiclassics as semiclassics
+import doublewell.spectral as spectral
 from doublewell import SQRT_E_OVER_PI, epsilon_closed_form, eta, from_eta
 from doublewell.cli import CSV_HEADER, REFERENCE_RATIOS, main
 
@@ -339,9 +340,7 @@ def test_sweep_rows_equal_one_row_reports(tmp_path, spacing):
     _assert_rows_equal_one_row_reports(tmp_path, 1100, spacing)
 
 
-@pytest.mark.parametrize(
-    "steps", [1024, 1025, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1, 2 * cli._BLOCK_ROWS + 1]
-)
+@pytest.mark.parametrize("steps", [1024, 1025, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1])
 def test_sweep_block_edges_equal_one_row_reports(tmp_path, steps):
     # each _BLOCK_ROWS-row view of the one kernel table is formatted as one
     # array: a grid inside one partial block, a full last block and a one-row
@@ -491,17 +490,48 @@ def test_validate_json_shape(capsys):
     assert list(by_name) == [
         "engine-vs-closed-form", "series-coefficients", "turning-point-residuals",
         "quadrature-convergence", "reference-table", "crossing-location",
-        "spectral[eta=0.14]", "spectral[eta=0.16]", "spectral[eta=0.18]", "spectral[eta=0.2]",
-        "spectral-log-slope",
+        "spectral[eta=0.16]", "spectral[eta=0.18]", "spectral[eta=0.2]", "spectral-log-slope",
     ]
-    # every check passes but the deepest doublet, which is below 64-bit
-    # resolution and must be skipped, not silently passed
-    assert {name: c["status"] for name, c in by_name.items() if c["status"] != "pass"} == {
-        "spectral[eta=0.14]": "skipped"
-    }
-    # and the skip says by how much the doublet missed
-    detail = by_name["spectral[eta=0.14]"]["detail"]
-    assert re.fullmatch(r"below resolution: .*dE=\S+, estimate=\S+ \(need dE > 10x estimate\)", detail)
+    assert {c["status"] for c in payload["checks"]} == {"pass"}
+
+
+@pytest.mark.parametrize("refused", [(0.16, 0.18, 0.2), (0.18,)], ids=["every-well", "eta=0.18"])
+def test_validate_fails_when_the_eigensolver_refuses(monkeypatch, capsys, refused):
+    # a doublet validate needs but cannot resolve is a failure, never a pass;
+    # the refusal is the real solver's, at a well it cannot resolve
+    original = spectral.exact_splitting
+    with pytest.raises(spectral.ResolutionError) as excinfo:
+        original(from_eta(0.14))
+    refused_etas = {eta(from_eta(e)) for e in refused}
+
+    def refusing(p):
+        if eta(p) in refused_etas:
+            raise excinfo.value
+        return original(p)
+
+    monkeypatch.setattr(spectral, "exact_splitting", refusing)
+    assert main(["validate", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False
+    by_name = {c["name"]: c for c in payload["checks"]}
+    for e in (0.16, 0.18, 0.2):
+        check = by_name[f"spectral[eta={e:g}]"]
+        if e in refused:
+            # failed with a null value, and says by how much the doublet missed
+            assert (check["status"], check["value"]) == ("fail", None)
+            pattern = r"splitting below numerical resolution: dE=\S+, estimate=\S+ \(need dE > 10x estimate\)"
+            assert re.fullmatch(pattern, check["detail"])
+        else:
+            assert check["status"] == "pass"
+    # the slope is fitted over the resolved wells; with fewer than two it is NaN, which fails
+    slope = by_name["spectral-log-slope"]
+    fitted = 3 - len(refused) >= 2
+    assert (slope["status"], slope["value"] is None) == (("pass", False) if fitted else ("fail", True))
+
+    assert main(["validate"]) == 1
+    out = capsys.readouterr().out
+    for e in refused:
+        assert f"FAIL    spectral[eta={e:g}]: " in out
 
 
 def test_corrupted_correction_factor_is_caught(monkeypatch, capsys):
@@ -608,10 +638,7 @@ def test_validate_status_follows_value_and_bound(capsys):
     for record in records:
         assert list(record) == ["name", "status", "detail", "value", "bound", "seconds"]
         value, bound = record["value"], record["bound"]
-        if bound is None:
-            assert value is None and record["status"] == "skipped"
-        else:
-            # a null value is a non-finite one, which fails
-            assert record["status"] == ("pass" if value is not None and value <= bound else "fail")
+        # a null value is a non-finite one, which fails
+        assert record["status"] == ("pass" if value is not None and value <= bound else "fail")
     assert lines[:-1] == [f"{r['status'].upper():7s} {r['name']}: {r['detail']}" for r in records]
     assert lines[-1] == "all checks passed"
