@@ -2,12 +2,14 @@
 
 Near a minimum the well is a harmonic oscillator of frequency w plus cubic
 and quartic corrections.  This module provides the paper's closed-form
-fractional shift eps(eta) of the ground level and, independently, a finite
-Rayleigh-Schrodinger engine over oscillator number states that re-derives
-it from exact ladder-operator matrix elements.  There is one coefficient set,
-the paper's, so eps is the paper's algebra, not the physical shift: it is
-positive below eta ~ 0.364, while E0 + E1 - 1 from spectral.solve_spectrum
-(natural units) is negative at every eta measured, 0.02 to 0.3.
+fractional shift eps(eta) of the ground level and, independently, the
+Rayleigh-Schrodinger recursion in H' = c3 y^3 + c4 y^4 over oscillator number
+states, E_k = <0|H'|psi_(k-1)> with (H0 - E0) psi_k = -H' psi_(k-1) +
+sum_(j=1..k) E_j psi_(k-j), whose order 2 is the paper's algebra and
+re-derives eps.  There is one coefficient set, the paper's, so eps is not
+the physical shift: it is positive below eta ~ 0.364, while E0 + E1 - 1 from
+spectral.solve_spectrum (natural units) is negative at every eta measured,
+0.02 to 0.3.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ __all__ = [
     "validity_boundary",
 ]
 
-#: oscillator states |0> .. |4> of the engine: all that y^3 and y^4 reach from |0>
-_STATES = 5
+#: highest order rs_engine computes, a basis of 4 * 32 + 1 = 129 states
+_MAX_ORDER = 32
 
 
 @dataclass(frozen=True)
@@ -90,46 +92,36 @@ def epsilon_closed_form(eta_value):
     return (e2 / 16.0) * (25.0 - 189.0 * e2)
 
 
-def _transition_amplitudes(expansion: AnharmonicExpansion) -> tuple[np.ndarray, np.ndarray]:
-    """Exact amplitudes <k| c3 y^3 |0> and <k| c4 y^4 |0> for k < _STATES.
+def rs_engine(expansion: AnharmonicExpansion, order: int = 2) -> float:
+    """Rayleigh-Schrodinger ground shift for the expansion through `order` in
+    H' = c3 y^3 + c4 y^4, as a fraction of the unperturbed level hbar*w/2.
 
-    Built from the tridiagonal position matrix y[i, i+1] = lam sqrt(i+1)
-    with lam = sqrt(hbar/(2 m w)); matrix powers of y evaluate the ladder
-    algebra exactly, so entries forbidden by parity are exactly zero.
-    y^3 and y^4 connect |0> only to |k>, k <= 4, through states k <= 4, so
-    five states hold every nonzero amplitude and a larger basis adds only zeros.
+    From psi_0 = |0>: E_k = <0|H'|psi_(k-1)>, and for n >= 1
+    psi_k[n] = -(H' psi_(k-1) - sum_(j=1..k) E_j psi_(k-j))[n] / (n hbar w),
+    with psi_k[0] = 0.  Order 2 is the paper's algebra.  psi_k reaches no
+    state above 4k, and no y^4 path from psi_(k-1) to it climbs higher, so
+    4*order + 1 states hold every amplitude: the sum is exact.
     """
+    if whole_number(order, "order", 1) > _MAX_ORDER:
+        raise ValueError(f"order must be at most {_MAX_ORDER}, got {order!r}")
     p = expansion.params
     lam = math.sqrt(p.hbar / (2.0 * p.mass * p.angular_frequency))
-    y = np.zeros((_STATES, _STATES))
-    idx = np.arange(1, _STATES)
-    off = lam * np.sqrt(idx)
-    y[idx - 1, idx] = off
-    y[idx, idx - 1] = off
-    y2 = y @ y
-    y3 = y2 @ y
-    y4 = y2 @ y2
-    return expansion.cubic * y3[:, 0], expansion.quartic * y4[:, 0]
-
-
-def rs_engine(expansion: AnharmonicExpansion, order: int = 2) -> float:
-    """Rayleigh-Schrodinger ground shift for the expansion, as a fraction of
-    the unperturbed level hbar*w/2.
-
-    order 1: <0|H'|0>.  order 2: adds sum_k |<k|H'|0>|^2 / (E0 - Ek) with
-    E0 - Ek = -k hbar w.  The sum is finite (k <= 4) and exact.
-    """
-    if whole_number(order, "order", 1) > 2:
-        raise ValueError(f"order must be 1 or 2, got {order!r}")
-    amp_cubic, amp_quartic = _transition_amplitudes(expansion)
-    p = expansion.params
     hw = p.hbar * p.angular_frequency
-    shift = amp_cubic[0] + amp_quartic[0]
-    if order == 2:
-        k = np.arange(1, len(amp_cubic))
-        amps = amp_cubic[1:] + amp_quartic[1:]
-        shift -= np.sum(amps * amps / (k * hw))
-    return float(shift / (0.5 * hw))
+    size = 4 * order + 1
+    # the position matrix y[i, i+1] = lam sqrt(i+1); its powers are the exact ladder algebra
+    off = lam * np.sqrt(np.arange(1.0, size))
+    y = np.diag(off, 1) + np.diag(off, -1)
+    y2 = y @ y
+    h = expansion.cubic * (y2 @ y) + expansion.quartic * (y2 @ y2)
+    gaps = hw * np.arange(1, size)
+    psi = np.zeros((order + 1, size))
+    psi[0, 0] = 1.0
+    energies = np.zeros(order + 1)
+    for k in range(1, order + 1):
+        h_psi = h @ psi[k - 1]
+        energies[k] = h_psi[0]
+        psi[k, 1:] = (energies[1 : k + 1] @ psi[k - 1 :: -1, 1:] - h_psi[1:]) / gaps
+    return float(energies.sum() / (0.5 * hw))
 
 
 def perturbed_level(p: WellParameters) -> PerturbedLevel:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import doublewell.cli as cli
+import doublewell.perturbation as perturbation
 import doublewell.semiclassics as semiclassics
 import doublewell.spectral as spectral
 from doublewell import SQRT_E_OVER_PI, epsilon_closed_form, eta, from_eta
@@ -578,6 +579,24 @@ def test_unconverged_quadrature_reference_fails_validate(monkeypatch, capsys):
     # the 16 -> 32-node change in units of its 1e-10 limit
     assert by_name["quadrature-convergence"]["value"] == 2.0
     assert by_name["quadrature-convergence"]["bound"] == 1.0
+
+
+def test_corrupted_engine_fails_validate(monkeypatch, capsys):
+    # an engine 1e-9 off in relative terms misses both of its checks' 1e-12
+    # bounds; validate calls it directly and through the series coefficients
+    original = perturbation.rs_engine
+
+    def corrupted(expansion, order=2):
+        return (1.0 + 1e-9) * original(expansion, order)
+
+    monkeypatch.setattr(perturbation, "rs_engine", corrupted)
+    monkeypatch.setattr(cli, "rs_engine", corrupted)
+    assert main(["validate", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False
+    failed = {c["name"] for c in payload["checks"] if c["status"] == "fail"}
+    assert failed == {"engine-vs-closed-form", "series-coefficients"}
+    assert len(payload["checks"]) == 10
 
 
 def _nan_period(original):

@@ -24,7 +24,6 @@ from doublewell import (
     rs_engine,
     validity_boundary,
 )
-from doublewell.perturbation import _transition_amplitudes
 
 
 def test_epsilon_closed_form_value():
@@ -70,26 +69,54 @@ def test_engine_second_order_cubic_term():
 
 
 def test_engine_rejects_small_truncation():
-    # the basis is fixed at the five states that hold every amplitude, so
-    # only an unsupported order is left to refuse: above 2, below 1, or not
-    # a whole number (a flag is not the number 1)
+    # the basis grows with the order and holds every amplitude, so only an
+    # unsupported order is left to refuse: above the cap of 32, below 1, or
+    # not a whole number (a flag is not the number 1)
     expansion = AnharmonicExpansion.standard(from_eta(0.1))
-    for bad in (3, True, "2", None, 1.5, 0):
+    for bad in (33, True, "2", None, 1.5, 0):
         with pytest.raises(ValueError, match="^order "):
             rs_engine(expansion, order=bad)
+    assert type(rs_engine(expansion, order=32)) is float
 
 
 def test_parity_selection_rules():
-    # the cubic term connects |0> only to odd k, the quartic only to even k,
-    # so the cross products vanish identically state by state
-    amp_cubic, amp_quartic = _transition_amplitudes(AnharmonicExpansion.standard(from_eta(0.1)))
-    k = np.arange(5)
-    assert len(amp_cubic) == len(amp_quartic) == 5
-    assert np.all(amp_cubic[k % 2 == 0] == 0.0)
-    assert np.all(amp_quartic[k % 2 == 1] == 0.0)
-    assert np.all(amp_cubic * amp_quartic == 0.0)
-    assert np.count_nonzero(amp_cubic) == 2  # k = 1, 3
-    assert np.count_nonzero(amp_quartic) == 3  # k = 0, 2, 4
+    # the cubic term connects |0> only to odd states and the quartic only to
+    # even ones: a cubic-only shift gains nothing at odd order, and the two
+    # terms' second-order parts add with no cross term
+    standard = AnharmonicExpansion.standard(from_eta(0.1))
+    cubic_only = dataclasses.replace(standard, quartic=0.0)
+    quartic_only = dataclasses.replace(standard, cubic=0.0)
+    assert rs_engine(cubic_only, 1) == 0.0
+    for odd in (3, 5):
+        assert rs_engine(cubic_only, odd) == rs_engine(cubic_only, odd - 1)
+
+    def second(expansion):
+        return rs_engine(expansion, 2) - rs_engine(expansion, 1)
+
+    parts = second(cubic_only) + second(quartic_only)
+    assert abs(second(standard) - parts) <= 4 * math.ulp(parts)
+
+
+#: order-by-order ground shifts, in units of hbar*w, of the oscillator plus a
+#: unit y^4 term (Bender & Wu 1969) or y^3 term, y = (a + a^dagger)/sqrt(2)
+_TEXTBOOK_SERIES = {
+    "quartic": [3 / 4, -21 / 8, 333 / 16, -30885 / 128, 916731 / 256, -65518401 / 1024],
+    "cubic": [0.0, -11 / 8, 0.0, -465 / 32, 0.0, -39709 / 128],
+}
+
+
+@pytest.mark.parametrize("term", list(_TEXTBOOK_SERIES))
+def test_engine_reproduces_textbook_series(term):
+    # at eta = 1, hbar = m = w = 1 the engine's y is the oscillator's own
+    # coordinate, and its shift is in units of hbar*w/2
+    coefficients = {"cubic": 0.0, "quartic": 0.0, term: 1.0}
+    expansion = AnharmonicExpansion(params=from_eta(1.0), **coefficients)
+    previous = 0.0
+    for order, expected in enumerate(_TEXTBOOK_SERIES[term], start=1):
+        shift = rs_engine(expansion, order)
+        # abs=0: a parity-forbidden order must add exactly 0.0
+        assert 0.5 * (shift - previous) == pytest.approx(expected, rel=1e-13, abs=0.0), order
+        previous = shift
 
 
 @settings(max_examples=60)
