@@ -37,6 +37,11 @@ doublewell splitting --eta 0.2 --method spectral
 doublewell splitting --eta 0.65 --method spectral
 expect_exit 3 doublewell splitting --eta 0.14 --method spectral
 expect_exit 2 doublewell splitting --eta 1e-6 --method spectral
+# the eigensolver solves in natural units: a well at hbar = 1e152 (eta = 0.2)
+# prints the ln(dE / hbar w) and estimate of --eta 0.2
+physical="$(doublewell splitting --hbar 1e152 --a 5e76 --method spectral)"
+natural="$(doublewell splitting --eta 0.2 --method spectral)"
+test "${physical#*ln_dE_over_hbar_omega=}" = "${natural#*ln_dE_over_hbar_omega=}"
 doublewell sweep --out "$out/default.csv"
 # a formula line is the sweep's row at its eta, under the sweep's guards:
 # instanton is refused beyond the validity boundary

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -215,16 +214,17 @@ def eigh_tridiagonal(diag: np.ndarray, off: float, k: int) -> np.ndarray:
     return np.array(w)
 
 
-def _matrix(p: WellParameters, half_width: float, n: int, potential_fn) -> tuple[np.ndarray, float, float]:
-    """Diagonal and constant off-diagonal of the central-difference Hamiltonian,
-    and the bound 2 hbar^2/(m h^2) + max V on its norm.  Refuses a grid on which
-    V overflows float64 or the off-diagonal is lost in the rounding of the
-    diagonal: no eigensolve of that matrix resolves a level."""
+def _matrix(p: WellParameters, half_width: float, n: int) -> tuple[np.ndarray, float, float]:
+    """Diagonal and constant off-diagonal of the central-difference Hamiltonian
+    of a natural-units well (hbar = m = w = 1), and the bound 2/h^2 + max V on
+    its norm.  Refuses a grid on which V overflows float64 or the off-diagonal
+    is lost in the rounding of the diagonal: no eigensolve of that matrix
+    resolves a level."""
     x = np.linspace(-half_width, half_width, n)
     h = x[1] - x[0]
     with np.errstate(over="ignore"):
-        v = potential(p, x) if potential_fn is None else np.asarray(potential_fn(x), dtype=float)
-    kinetic = p.hbar * p.hbar / (p.mass * h * h)
+        v = potential(p, x)
+    kinetic = 1.0 / (h * h)
     v_max = float(np.max(v))
     norm = 2.0 * kinetic + v_max
     if not 0.5 * kinetic > _ULP * norm:
@@ -242,36 +242,31 @@ def _outer_turning_point(p: WellParameters) -> float:
     return p.half_separation * math.sqrt(1.0 + 2.0 * et * math.sqrt(1.0 + max(epsilon_closed_form(et), 0.0)))
 
 
-def solve_spectrum(
-    p: WellParameters,
-    grid: GridSpec | None = None,
-    k: int = 4,
-    potential_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> SpectrumResult:
+def solve_spectrum(p: WellParameters, grid: GridSpec | None = None, k: int = 4) -> SpectrumResult:
     """Lowest k levels of -hbar^2/(2m) psi'' + V psi = E psi with Dirichlet walls.
 
-    Solves on `grid` (default_grid(p) if None) and on its once-refined
+    Solves the well in natural units, so every result over hbar w depends on
+    eta alone, on `grid` (default_grid(p) if None) and on its once-refined
     companion (2N-1 points, same endpoints), Richardson-extrapolates the
-    second-order scheme, and reports per-level and splitting error
-    estimates.  A given grid must clear the outer turning point of
-    _outer_turning_point by 5 oscillator lengths, which default_grid does by
-    construction.
-    `potential_fn` replaces the double well (for oracle self-tests against
-    exactly solvable potentials); that margin check then does not apply.
+    second-order scheme, and reports per-level and splitting error estimates.
+    A given grid must clear the outer turning point of _outer_turning_point by
+    5 oscillator lengths, which default_grid does by construction.
     """
     k = whole_number(k, "k", 2)
+    s = p.oscillator_length
     if grid is None:
         grid = default_grid(p)
-    elif potential_fn is None:
-        margin = _outer_turning_point(p) + 5.0 * p.oscillator_length
+    else:
+        margin = _outer_turning_point(p) + 5.0 * s
         if grid.half_width <= margin:
             raise ValueError(
                 f"half_width {grid.half_width!r} too small: need > outer turning point "
                 f"+ 5 oscillator lengths = {margin:.6g} for the doublet to decay"
             )
+    natural = WellParameters(half_separation=p.half_separation / s)
     levels = []
     for n in (grid.points, 2 * grid.points - 1):
-        diag, off, norm = _matrix(p, grid.half_width, n, potential_fn)
+        diag, off, norm = _matrix(natural, grid.half_width / s, n)
         levels.append(eigh_tridiagonal(diag, off, k))
     coarse, fine = levels
     # _ULP * ||H|| on the fine grid bounds the backward error of the eigensolve;
@@ -281,11 +276,12 @@ def solve_spectrum(
     level_estimates = np.abs(fine - coarse) / 3.0 + floor
     d_coarse = coarse[1] - coarse[0]
     d_fine = fine[1] - fine[0]
+    hw = p.hbar * p.angular_frequency
     return SpectrumResult(
-        eigenvalues=tuple(float(e) for e in extrapolated),
-        eigenvalue_estimates=tuple(float(e) for e in level_estimates),
-        splitting=float(d_fine + (d_fine - d_coarse) / 3.0),
-        splitting_estimate=float(abs(d_fine - d_coarse) / 3.0 + floor),
+        eigenvalues=tuple(float(e) * hw for e in extrapolated),
+        eigenvalue_estimates=tuple(float(e) * hw for e in level_estimates),
+        splitting=float(d_fine + (d_fine - d_coarse) / 3.0) * hw,
+        splitting_estimate=float(abs(d_fine - d_coarse) / 3.0 + floor) * hw,
     )
 
 

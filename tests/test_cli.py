@@ -116,30 +116,34 @@ def test_splitting_spectral_ends_cleanly_at_every_eta(eta_value, code, reason, c
 
 
 @pytest.mark.parametrize(
-    "hbar, a, code",
+    "hbar, a, eta_value",
     [
-        # eta = 0.2: the off-diagonal's square overflows
-        ("1e152", "5e76", 2),
-        # eta = 2 and eta = 0.2: products of neighbouring diagonal entries overflow
-        ("1e151", "1.5811388300841898e75", 2),
-        ("2e151", "2.2360679774997895e76", 2),
-        # eta = 0.2: the off-diagonal's square is subnormal
-        ("1e-160", "5e-80", 2),
-        ("1e150", "5e75", 0),
-        ("1e-150", "5e-75", 0),
+        ("1e152", "5e76", "0.2"),
+        ("1e151", "1.5811388300841898e75", "2"),
+        ("2e151", "2.2360679774997895e76", "0.2"),
+        ("1e-160", "5e-80", "0.2"),
+        ("1e150", "5e75", "0.2"),
+        ("1e-150", "5e-75", "0.2"),
     ],
 )
-def test_splitting_spectral_refuses_energy_scales_beyond_float64(hbar, a, code, capsys):
-    # the port's arithmetic holds only while its matrix stays in float64's
-    # normal range; beyond it the well is refused by name, never by a NaN
-    # pivot floor or a matrix that only seems to split into blocks
-    assert main(["splitting", "--hbar", hbar, "--a", a, "--method", "spectral"]) == code
+def test_splitting_spectral_answers_at_every_energy_scale(hbar, a, eta_value, capsys):
+    # the eigensolver solves every well in natural units, so at any hbar*omega,
+    # however far from 1, a well prints the ln(dE/hbar w) and rel_estimate of its eta
+    keys = ("ln_dE_over_hbar_omega", "rel_estimate")
+    assert main(["splitting", "--hbar", hbar, "--a", a, "--method", "spectral"]) == 0
     captured = capsys.readouterr()
-    assert ("method=spectral" in captured.out) == (code == 0)
-    if code:
-        assert re.fullmatch(r"error: matrix outside the float64 range: .* must be finite\n", captured.err)
+    assert captured.err == ""
+    fields = _parse_splitting_line(captured.out)
+    ln_value, estimate = (float(fields[key]) for key in keys)
+    assert main(["splitting", "--eta", eta_value, "--method", "spectral"]) == 0
+    reference = _parse_splitting_line(capsys.readouterr().out)
+    ln_reference, reference_estimate = (float(reference[key]) for key in keys)
+    if eta_value == "0.2":
+        assert (ln_value, estimate) == (ln_reference, reference_estimate)
     else:
-        assert captured.err == ""
+        # a/l is 1 ulp off 0.5 = 1/eta, so this natural well is not from_eta(2) to the bit
+        assert abs(ln_value - ln_reference) <= reference_estimate
+        assert estimate == pytest.approx(reference_estimate, rel=1e-6)
 
 
 @pytest.mark.parametrize("method", ["wkb-exact", "asymptotic", "instanton"])

@@ -45,14 +45,14 @@ def test_port_is_bit_identical_to_lapack_on_default_grids(eta_value):
     p = from_eta(eta_value)
     grid = default_grid(p)
     for n in (grid.points, 2 * grid.points - 1):
-        diag, off, _ = _matrix(p, grid.half_width, n, None)
+        diag, off, _ = _matrix(p, grid.half_width, n)
         assert np.array_equal(eigh_tridiagonal(diag, off, 2), _lapack(diag, off, 2))
 
 
 @pytest.mark.parametrize("n", [201, 301, 4001, 8001])
 def test_port_is_bit_identical_to_lapack_across_sizes_and_levels(n):
     p = from_eta(0.2)
-    diag, off, _ = _matrix(p, default_grid(p).half_width, n, None)
+    diag, off, _ = _matrix(p, default_grid(p).half_width, n)
     for k in (2, 3, 4, 6):
         assert np.array_equal(eigh_tridiagonal(diag, off, k), _lapack(diag, off, k)), k
 
@@ -65,7 +65,7 @@ def test_port_is_bit_identical_to_lapack_when_k_splits_a_doublet(eta_value):
     p = from_eta(eta_value)
     grid = default_grid(p)
     for n in (grid.points, 2 * grid.points - 1):
-        diag, off, _ = _matrix(p, grid.half_width, n, None)
+        diag, off, _ = _matrix(p, grid.half_width, n)
         for k in (1, 3, 5):
             assert np.array_equal(eigh_tridiagonal(diag, off, k), _lapack(diag, off, k)), (n, k)
 
@@ -77,11 +77,30 @@ def test_port_is_bit_identical_to_lapack_when_k_splits_a_doublet(eta_value):
         ((2.0, 3.0, 1.0, 1.5), 5.0, lambda x: 9.0 * x * x),
     ],
 )
-def test_port_is_bit_identical_to_lapack_on_oracle_potentials(params, half_width, potential_fn):
+def test_port_is_bit_identical_to_lapack_on_oracle_potentials(params, half_width, potential_fn, monkeypatch):
+    # natural-units matrices of two oscillators; the well only names eta in a refusal
+    monkeypatch.setattr(spectral, "potential", lambda p, x: potential_fn(x))
     p = WellParameters(*params)
     for n in (2001, 4001):
-        diag, off, _ = _matrix(p, half_width, n, potential_fn)
+        diag, off, _ = _matrix(p, half_width, n)
         assert np.array_equal(eigh_tridiagonal(diag, off, 3), _lapack(diag, off, 3))
+
+
+@pytest.mark.parametrize(
+    "diag, off",
+    [
+        # the off-diagonal's square overflows
+        (np.zeros(5), 1e155),
+        # the off-diagonal's square is subnormal
+        (np.zeros(5), 1e-160),
+        # products of neighbouring diagonal entries overflow
+        (np.full(5, 1e160), 1.0),
+    ],
+)
+def test_port_refuses_matrices_outside_the_float64_range(diag, off):
+    # no double well reaches this guard: the solver's matrices are in natural units
+    with pytest.raises(ValueError, match=r"^matrix outside the float64 range"):
+        eigh_tridiagonal(diag, off, 2)
 
 
 def test_port_is_bit_identical_to_lapack_on_random_matrices():
@@ -135,25 +154,44 @@ def test_port_is_within_its_stopping_tolerance_of_exact_eigenvalues():
     # dstebz stops bisecting at ULP * ||T||; the exact eigenvalues of the same
     # float64 matrix bound the port's whole error, counting error included
     p = from_eta(0.2)
-    diag, off, norm = _matrix(p, default_grid(p).half_width, 201, None)
+    diag, off, norm = _matrix(p, default_grid(p).half_width, 201)
     exact = _sturm_bisection(diag, off, 4)
     for value, reference in zip(eigh_tridiagonal(diag, off, 4), exact):
         assert abs(mpmath.mpf(float(value)) - reference) <= spectral._ULP * norm
 
 
-def test_harmonic_oscillator_oracle_natural_units():
-    p = WellParameters(1.0, 1.0, 1.0, 1.0)
-    result = solve_spectrum(p, GridSpec(10.0, 2001), k=3, potential_fn=lambda x: 0.5 * x * x)
-    for n, value in enumerate(result.eigenvalues):
+def _oscillator_levels(p, grid, monkeypatch):
+    # the harmonic oscillator in natural units, solved through the double well's path
+    monkeypatch.setattr(spectral, "potential", lambda _, x: 0.5 * x * x)
+    return solve_spectrum(p, grid, k=3).eigenvalues
+
+
+def test_harmonic_oscillator_oracle_natural_units(monkeypatch):
+    levels = _oscillator_levels(WellParameters(1.0, 1.0, 1.0, 1.0), GridSpec(10.0, 2001), monkeypatch)
+    for n, value in enumerate(levels):
         assert value == pytest.approx(n + 0.5, rel=1e-6)
 
 
-def test_harmonic_oscillator_oracle_physical_units():
+def test_harmonic_oscillator_oracle_physical_units(monkeypatch):
     # hbar*omega = 4.5: levels at 2.25, 6.75, 11.25.
     p = WellParameters(mass=2.0, angular_frequency=3.0, half_separation=1.0, hbar=1.5)
-    result = solve_spectrum(p, GridSpec(5.0, 2001), k=3, potential_fn=lambda x: 9.0 * x * x)
-    for n, value in enumerate(result.eigenvalues):
+    for n, value in enumerate(_oscillator_levels(p, GridSpec(5.0, 2001), monkeypatch)):
         assert value == pytest.approx(4.5 * (n + 0.5), rel=1e-6)
+
+
+def test_answer_over_hbar_omega_depends_on_eta_alone():
+    # the eigensolver's counterpart of acceptance criterion 8: seeded physical
+    # wells with hbar, m and omega over 1e+-3 give the splitting over hbar*omega
+    # of the natural well of their eta (a/l and 1/eta may differ by an ulp)
+    rng = np.random.default_rng(7)
+    for _ in range(12):
+        hbar, mass, omega = 10.0 ** rng.uniform(-3.0, 3.0, 3)
+        a = math.sqrt(hbar / (mass * omega)) / rng.uniform(0.15, 0.3)
+        p = WellParameters(mass=mass, angular_frequency=omega, half_separation=a, hbar=hbar)
+        hw = hbar * omega
+        value, estimate = exact_splitting(p)
+        reference, reference_estimate = exact_splitting(from_eta(eta(p)))
+        assert abs(value / hw - reference) <= 1e-6 * (estimate / hw + reference_estimate), p
 
 
 def test_grid_refinement_is_second_order():
@@ -163,7 +201,7 @@ def test_grid_refinement_is_second_order():
     half_width = default_grid(p).half_width
     energies = {}
     for n in (501, 1001, 2001):
-        diag, off, _ = _matrix(p, half_width, n, None)
+        diag, off, _ = _matrix(p, half_width, n)
         energies[n] = eigh_tridiagonal(diag, off, 2)[0]
     ratio = (energies[501] - energies[2001]) / (energies[1001] - energies[2001])
     assert ratio == pytest.approx(5.0, rel=0.05)
@@ -373,7 +411,7 @@ def test_level_count_validation():
 def test_level_count_must_be_below_matrix_size():
     # no caller needs every eigenvalue, so the port refuses k == n rather than keep a path for it
     p = from_eta(0.2)
-    diag, off, _ = _matrix(p, 12.0, 301, None)
+    diag, off, _ = _matrix(p, 12.0, 301)
     with pytest.raises(ValueError, match="^k "):
         eigh_tridiagonal(diag, off, len(diag))
     with pytest.raises(ValueError, match="^k "):
