@@ -2,7 +2,7 @@
 # Every subcommand and every splitting method through the installed
 # `doublewell` entry point, so a stale import or a RuntimeWarning (run under
 # PYTHONWARNINGS=error::RuntimeWarning) fails here.
-# Usage: console-checks.sh OUTDIR   (writes sweep.csv, default.csv and never.err there)
+# Usage: console-checks.sh OUTDIR   (writes sweep.csv, default.csv, never.err and units.err there)
 set -euo pipefail
 out="$1"
 
@@ -42,6 +42,14 @@ expect_exit 2 doublewell splitting --eta 1e-6 --method spectral
 physical="$(doublewell splitting --hbar 1e152 --a 5e76 --method spectral)"
 natural="$(doublewell splitting --eta 0.2 --method spectral)"
 test "${physical#*ln_dE_over_hbar_omega=}" = "${natural#*ln_dE_over_hbar_omega=}"
+# a well whose hbar w (eta = 0.2) or oscillator length (eta ~ 1e-65) leaves
+# float64 is refused with one error line
+expect_exit 2 doublewell splitting --hbar 1e-200 --omega 1e-200 --m 1e200 --a 5e-100 --method spectral 2> "$out/units.err"
+test "$(head -c 7 "$out/units.err")" = "error: "
+test "$(wc -l < "$out/units.err")" -eq 1
+expect_exit 2 doublewell splitting --hbar 1e-310 --m 1e20 --a 1e-100 --method spectral 2> "$out/units.err"
+test "$(head -c 7 "$out/units.err")" = "error: "
+test "$(wc -l < "$out/units.err")" -eq 1
 doublewell sweep --out "$out/default.csv"
 # a formula line is the sweep's row at its eta, under the sweep's guards:
 # instanton is refused beyond the validity boundary

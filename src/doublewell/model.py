@@ -80,9 +80,9 @@ class WellParameters:
     """Physical inputs: mass, oscillation frequency about a minimum,
     half-separation of the minima, and hbar.
 
-    All fields must be finite, strictly positive scalars (see positive_scalar), and
-    so must the eta they imply in float64.  Validation happens once, here;
-    downstream code assumes a valid instance.
+    All fields, and the eta, hbar w and oscillator length they imply, must be
+    finite, strictly positive float64 scalars (see positive_scalar).  Validation
+    happens once, here; downstream code assumes a valid instance.
     """
 
     mass: float = 1.0
@@ -94,11 +94,14 @@ class WellParameters:
         for name in ("mass", "angular_frequency", "half_separation", "hbar"):
             object.__setattr__(self, name, positive_scalar(getattr(self, name), name))
         try:
-            implied = eta(self)
+            # once eta is computed, m w > 0, so the other two cannot raise
+            implied = [eta(self), self.hbar * self.angular_frequency, self.oscillator_length]
         except (OverflowError, ZeroDivisionError):
-            implied = math.nan
-        if not 0.0 < implied < math.inf:
-            raise ValueError(f"eta = sqrt(hbar / (m w a^2)) over- or underflows float64 for {self!r}")
+            implied = [math.nan]
+        names = ("eta = sqrt(hbar / (m w a^2))", "hbar w", "the oscillator length sqrt(hbar / (m w))")
+        for quantity, value in zip(names, implied):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{quantity} over- or underflows float64 for {self!r}")
 
     @property
     def oscillator_length(self) -> float:

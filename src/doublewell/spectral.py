@@ -11,6 +11,7 @@ it checks enters it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -118,6 +119,13 @@ def eigh_tridiagonal(diag: np.ndarray, off: float, k: int) -> np.ndarray:
     off^2 normal (checked below), sqrt(off^2) == |off|, so dstebz's second
     Gershgorin pass only raises gl by FUDGE * pivmin, and its clamps to the
     searched interval keep that gl and the search's upper end.
+
+    Job 2 follows each eigenvalue along its own halves of [gl, wu] instead of
+    dlaebz's interval list.  After j steps it holds the list's interval that
+    holds that eigenvalue after j sweeps, and a count depends only on its
+    shift, so the values are the same floats.  Counts are cached for the call:
+    a half shared by several eigenvalues is counted once, as the list counts
+    each of its intervals, all of which hold an eigenvalue, once per sweep.
     """
     d = np.asarray(diag, dtype=float).tolist()
     n = len(d)
@@ -179,33 +187,21 @@ def eigh_tridiagonal(diag: np.ndarray, off: float, k: int) -> np.ndarray:
         c = 0.5 * (wul + wu)
     gl = gl - pad - _FUDGE * pivmin
     atol = _ULP * max(abs(gl), abs(gu))
-    # dlaebz job 1 counts the ends, job 2 bisects [gl, wu] and keeps every half that holds eigenvalues
+    # dlaebz job 1 counts the ends; job 2 bisects [gl, wu] once per eigenvalue
     top = count(wu)
-    active, done = [[gl, wu, 0, top]], []
-    for _ in range(iterations(wu - gl)):
-        for interval in list(active):
-            lo, hi, below, above = interval
+    shared = functools.cache(count)
+
+    def value(i: int) -> float:
+        lo, hi, below, above = gl, wu, 0, top
+        for _ in range(iterations(wu - gl)):
             c = 0.5 * (lo + hi)
-            m = min(above, max(below, count(c)))
-            if m == above:
-                interval[1] = c
-            elif m == below:
-                interval[0] = c
-            else:
-                active.append([c, hi, m, above])
-                interval[1], interval[3] = c, m
-        still = []
-        for interval in active:
-            (done if converged(*interval, atol) else still).append(interval)
-        active = still
-        if not active:
-            break
-    else:
+            m = min(above, max(below, shared(c)))
+            lo, hi, below, above = (lo, c, below, m) if i < m else (c, hi, m, above)
+            if converged(lo, hi, below, above, atol):
+                return 0.5 * (lo + hi)
         raise np.linalg.LinAlgError("eigh_tridiagonal: bisection did not converge")
-    # a converged interval reports its midpoint once per eigenvalue it holds
-    w = [0.0] * top
-    for lo, hi, below, above in done:
-        w[below:above] = [0.5 * (lo + hi)] * (above - below)
+
+    w = [value(i) for i in range(top)]
     if top > k:
         # [wul, wu] held eigenvalues beyond the k-th; dstebz drops the surplus
         # from the first values at or above wul, and what is left of it from the top

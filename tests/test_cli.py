@@ -203,11 +203,19 @@ def test_splitting_physical_parameters(capsys):
         ["splitting", "--a", "1", "--hbar", "1e-310", "--method", "asymptotic"],
         # a formula line is the sweep's row, refused beyond the validity boundary
         ["splitting", "--eta", "0.65", "--method", "instanton"],
+        # wells whose answer's unit leaves float64: hbar / (m w) underflows
+        # to 0 (eta ~ 1e-65), hbar w underflows to 0 and overflows (eta = 0.2)
+        ["splitting", "--hbar", "1e-310", "--m", "1e20", "--a", "1e-100", "--method", "spectral"],
+        ["splitting", "--hbar", "1e-200", "--omega", "1e-200", "--m", "1e200", "--a", "5e-100", "--method", "spectral"],
+        ["splitting", "--hbar", "1e-200", "--omega", "1e-200", "--m", "1e200", "--a", "5e-100", "--method", "wkb-exact"],
+        ["splitting", "--hbar", "1e200", "--omega", "1e200", "--m", "1e-100", "--a", "5e50", "--method", "spectral"],
+        ["splitting", "--hbar", "1e200", "--omega", "1e200", "--m", "1e-100", "--a", "5e50", "--method", "instanton"],
     ],
 )
 def test_splitting_usage_and_domain_errors(argv, capsys):
     assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_wkb_route_reaches_the_instanton_float64_floor(tmp_path, capsys):

@@ -106,20 +106,27 @@ def test_port_refuses_matrices_outside_the_float64_range(diag, off):
 def test_port_is_bit_identical_to_lapack_on_random_matrices():
     # the port skips dstebz steps because N(gl) = 0 for any matrix it accepts,
     # so it is held to LAPACK beyond this program's matrices: seeded random,
-    # nonnegative, double-well-shaped and constant diagonals at scales 1e+-120
+    # nonnegative, double-well-shaped, constant and plateau diagonals at
+    # scales 1e+-120.  Plateaus between walls 1e3-1e6 high hold clusters of
+    # eigenvalues degenerate in float64, whose bisection paths share most
+    # halves; there k runs up to n - 1, so some k splits a cluster and
+    # [wul, wu] holds eigenvalues beyond the k-th.
     rng = np.random.default_rng(28)
-    for case in range(200):
+    for case in range(250):
         n = int(rng.integers(3, 200))
         x = np.linspace(-1.0, 1.0, n)
         scale = 10.0 ** rng.uniform(-120.0, 120.0)
+        period = int(rng.integers(2, 40))
+        walls = np.arange(n) % period < rng.integers(1, min(period, 8))
         diag = scale * [
             rng.standard_normal(n),
             rng.uniform(0.0, 1.0, n),
             rng.uniform(1.0, 1e4) * (x * x - 0.5) ** 2,
             np.full(n, rng.standard_normal()),
-        ][case % 4]
+            np.where(walls, 10.0 ** rng.uniform(3.0, 6.0), 0.0),
+        ][case % 5]
         off = scale * rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 1.0)
-        k = int(rng.integers(1, min(9, n - 1) + 1))
+        k = int(rng.integers(1, n if case % 5 == 4 else min(9, n - 1) + 1))
         assert np.array_equal(eigh_tridiagonal(diag, off, k), _lapack(diag, off, k)), (case, n, k)
 
 
