@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Every subcommand and every splitting method through the installed
-# `doublewell` entry point, so a stale import or a RuntimeWarning (run under
+# `doublewell` entry point, and two of them through `python -m doublewell`, so
+# a stale import or a RuntimeWarning (run under
 # PYTHONWARNINGS=error::RuntimeWarning) fails here.
 # Usage: console-checks.sh OUTDIR   (writes sweep.csv, default.csv, never.err and units.err there)
 set -euo pipefail
@@ -14,9 +15,15 @@ expect_exit() {
   test "$status" -eq "$want"
 }
 
-doublewell table1
 doublewell validate
 doublewell validate --json
+# `python -m doublewell` runs __main__.py, not the console script's cli:run;
+# both must print the same stdout
+for args in "table1" "splitting --eta 0.2 --method spectral"; do
+  via_entry="$(doublewell $args)"
+  via_module="$(python -m doublewell $args)"
+  test "$via_module" = "$via_entry"
+done
 doublewell sweep --steps 10 --out "$out/sweep.csv"
 # a refused sweep prints one error line, no traceback, and writes no file
 expect_exit 2 doublewell sweep --eta-max 0.7 --out "$out/never.csv" 2> "$out/never.err"

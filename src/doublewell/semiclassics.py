@@ -8,8 +8,9 @@ asymptotic formula carrying the anharmonicity correction factor delta(eta)
 small magnitudes are handled in log space throughout: every splitting has
 an ln(dE / hbar w) form, and ratios are differences of logs.
 
-Every per-point answer is a row of the one kernel, _wkb_route, and the validity
-boundary is guarded once, in delta, the factor that needs 1 + eps > 0.
+Every per-point answer is a row of the one kernel, _wkb_route, at the level
+shift it is given (the paper's, unless turning_points is given a level), and
+the validity boundary is guarded once, in delta, the factor that needs 1 + eps > 0.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import WellParameters, eta as eta_of, positive_real
-from .perturbation import PerturbedLevel, epsilon_closed_form, validity_boundary
+from .model import WellParameters, eta as eta_of, finite_scalar, positive_real
+from .perturbation import PerturbedLevel, epsilon_closed_form, perturbed_level, validity_boundary
 
 __all__ = [
     "SQRT_E_OVER_PI",
@@ -94,9 +95,14 @@ def turning_points(p: WellParameters, level: PerturbedLevel) -> SplittingReport:
 
     These solve V(x) = E exactly: with E = (hbar w / 2)(1 + eps),
     V - E factors as (m w^2 / (8 a^2)) (x^2 - alpha^2)(x^2 - gamma^2).
-    Both are real exactly when the level is below the barrier.
+    Both are real exactly when the level is below the barrier.  `level` must
+    sit at hbar w / 2 of p, as perturbed_level's does, with a finite real epsilon.
     """
-    return _one_row(p, level)
+    half_hw = 0.5 * p.hbar * p.angular_frequency
+    if level.unperturbed != half_hw:
+        raise ValueError(f"level.unperturbed={level.unperturbed!r} is not hbar*w/2 = {half_hw!r} of the well")
+    row = _wkb_route(eta_of(p), p.half_separation, finite_scalar(level.epsilon, "level.epsilon"))
+    return SplittingReport(*row[0].tolist())
 
 
 def _agm(k: np.ndarray, k_complement: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,26 +180,25 @@ def _quadrature_integrals(alpha, gamma):
     return tuple(results)
 
 
-def _wkb_route(eta_value, half_separation, epsilon=None) -> np.ndarray:
-    """The SplittingReport columns over an eta array, with alpha and gamma in
-    units of `half_separation` and the level shift taken from `epsilon` if
-    given: guards the validity boundary (through delta) and the float64 range,
-    then takes S = (action integral) / eta^2 and w T = 8 (period integral) in
-    closed form (see _elliptic_integrals) at the turning points for a = 1."""
+def _wkb_route(eta_value, half_separation, epsilon) -> np.ndarray:
+    """The SplittingReport columns over an eta array at the level shift `epsilon`
+    (a scalar, or an array like eta), with alpha and gamma in units of
+    `half_separation`: guards the validity boundary (through delta) and the
+    float64 range, then takes S = (action integral) / eta^2 and w T = 8 (period
+    integral) in closed form (see _elliptic_integrals) at the turning points for a = 1."""
     et = np.atleast_1d(eta_value)
     # delta's validity guard goes first, so a level beyond it is not called below the well bottom
     ln_delta = ln_delta_factor(et)
     delta = np.exp(ln_delta)
     # S <= 2/(3 eta^2), so the instanton formula's float64 guard is the route's
     ln_instanton = ln_splitting_instanton(et)
-    eps = epsilon_closed_form(et) if epsilon is None else epsilon
-    alpha, gamma = _turning_points(et, eps)
+    alpha, gamma = _turning_points(et, epsilon)
     action, period = _elliptic_integrals(alpha, gamma)
     action = action / (et * et)
     omega_t = 8.0 * period
     return np.column_stack([
         et,
-        np.broadcast_to(eps, et.shape),
+        np.broadcast_to(epsilon, et.shape),
         half_separation * alpha,
         half_separation * gamma,
         action,
@@ -207,19 +212,6 @@ def _wkb_route(eta_value, half_separation, epsilon=None) -> np.ndarray:
         SQRT_E_OVER_PI * delta,
         np.full(et.shape, SQRT_E_OVER_PI),
     ])
-
-
-def _one_row(p: WellParameters, level: PerturbedLevel | None = None) -> SplittingReport:
-    """The report at the well p, with the WKB route taken at `level` if given:
-    a level of p, at hbar w / 2 of p as perturbed_level gives it, with its epsilon."""
-    if level is not None:
-        half_hw = 0.5 * p.hbar * p.angular_frequency
-        if level.unperturbed != half_hw:
-            raise ValueError(f"level.unperturbed={level.unperturbed!r} is not hbar*w/2 = {half_hw!r} of the well")
-        if level.epsilon is None:
-            raise ValueError("level.epsilon=None; a level needs its fractional shift")
-    row = _wkb_route(eta_of(p), p.half_separation, epsilon=None if level is None else level.epsilon)
-    return SplittingReport(*row[0].tolist())
 
 
 def ln_delta_factor(eta_value):
@@ -269,12 +261,13 @@ def ln_splitting_asymptotic(eta_value):
 
 
 def ln_splitting_wkb_exact(p: WellParameters, level: PerturbedLevel | None = None) -> tuple[float, float]:
-    """ln(dE / hbar w) from the WKB route dE = (2 hbar / T) e^{-S}.
+    """ln(dE / hbar w) from the WKB route dE = (2 hbar / T) e^{-S}, taken at
+    `level`, perturbed_level(p) if None.
 
     Returns (log value, relative error estimate of dE); the estimate is
     _wkb_estimate, since dE depends on S through e^{-S}.
     """
-    report = _one_row(p, level)
+    report = turning_points(p, perturbed_level(p) if level is None else level)
     return report.ln_de_wkb, _wkb_estimate(report.action)
 
 
@@ -305,10 +298,10 @@ def splitting_table(eta_value) -> np.ndarray:
     # 1/eta overflows only below the float64 floor that the route refuses
     with np.errstate(over="ignore"):
         half_separation = 1.0 / eta_value
-    return _wkb_route(eta_value, half_separation)
+    return _wkb_route(eta_value, half_separation, epsilon_closed_form(eta_value))
 
 
 def splitting_report(p: WellParameters) -> SplittingReport:
     """All three routes at the eta of p, as one row of scaled, log-domain
     numbers (see SplittingReport)."""
-    return _one_row(p)
+    return turning_points(p, perturbed_level(p))

@@ -131,8 +131,6 @@ def eigh_tridiagonal(diag: np.ndarray, off: float, k: int) -> np.ndarray:
     n = len(d)
     if not 1 <= k < n:
         raise ValueError(f"k must be at least 1 and below the matrix size {n}, got {k}")
-    if not (all(map(math.isfinite, d)) and math.isfinite(off)):
-        raise ValueError("matrix entries must be finite")
     e = abs(float(off))
     e2 = e * e
     if not (_TINY <= e2 < math.inf and all(math.isfinite(a * b) for a, b in zip(d, d[1:]))):
@@ -143,15 +141,12 @@ def eigh_tridiagonal(diag: np.ndarray, off: float, k: int) -> np.ndarray:
     if any(abs(a * b) * _ULP**2 + _TINY > e2 for a, b in zip(d, d[1:])):
         raise ValueError("off-diagonal negligible against the diagonal: the matrix splits into blocks")
     pivmin = max(1.0, e2) * _TINY
-    first, rest = d[0], d[1:]
 
     def count(c: float) -> int:
         """Eigenvalues below c: the negative pivots of LDL^T of T - c."""
-        t = first - c
-        m = 0
-        if t <= pivmin:
-            m, t = 1, min(t, -pivmin)
-        for dj in rest:
+        # e2 / inf = 0, so the first pivot is d_0 - c
+        t, m = math.inf, 0
+        for dj in d:
             t = dj - e2 / t - c
             if t <= pivmin:
                 m += 1
@@ -187,8 +182,9 @@ def eigh_tridiagonal(diag: np.ndarray, off: float, k: int) -> np.ndarray:
         c = 0.5 * (wul + wu)
     gl = gl - pad - _FUDGE * pivmin
     atol = _ULP * max(abs(gl), abs(gu))
-    # dlaebz job 1 counts the ends; job 2 bisects [gl, wu] once per eigenvalue
-    top = count(wu)
+    # dlaebz job 1 counts the ends: N(gl) = 0, and N(wu) is job 3's last count
+    # at wu; job 2 bisects [gl, wu] once per eigenvalue
+    top = above
     shared = functools.cache(count)
 
     def value(i: int) -> float:

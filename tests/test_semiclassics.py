@@ -170,9 +170,9 @@ def test_above_barrier_level_rejected():
         ln_splitting_wkb_exact(p, high)
 
 
-@pytest.mark.parametrize("epsilon", [-2.0, -1.0, math.nan])
+@pytest.mark.parametrize("epsilon", [-2.0, -1.0])
 def test_level_at_or_below_well_bottom_rejected(epsilon):
-    # 1 + epsilon <= 0 (or undefined) is refused by name, before any square root
+    # 1 + epsilon <= 0 is refused by name, before any square root
     p = from_eta(0.1)
     low = PerturbedLevel(unperturbed=0.5, epsilon=epsilon)
     with pytest.raises(ValueError, match="well bottom"):
@@ -182,14 +182,38 @@ def test_level_at_or_below_well_bottom_rejected(epsilon):
 
 
 @pytest.mark.parametrize(
-    "level, field",
-    [(PerturbedLevel(unperturbed=17.0, epsilon=0.01), "unperturbed"), (PerturbedLevel(0.5, None), "epsilon")],
+    "level, message",
+    [
+        pytest.param(
+            PerturbedLevel(unperturbed=17.0, epsilon=0.01),
+            "level.unperturbed=17.0 is not hbar*w/2 = 0.5 of the well",
+            id="level0-unperturbed",
+        ),
+        pytest.param(PerturbedLevel(0.5, None), "level.epsilon must be a real number, got None", id="level1-epsilon"),
+        # a bool, a string, a complex, an array or a NaN is not a finite real epsilon
+        pytest.param(PerturbedLevel(0.5, True), "level.epsilon must be a real number, got True", id="level2-epsilon"),
+        pytest.param(PerturbedLevel(0.5, "0.1"), "level.epsilon must be a real number, got '0.1'", id="level3-epsilon"),
+        pytest.param(
+            PerturbedLevel(0.5, 0.1 + 0.0j), "level.epsilon must be a real number, got (0.1+0j)", id="level4-epsilon"
+        ),
+        pytest.param(
+            PerturbedLevel(0.5, np.array([0.3, 0.1])),
+            "level.epsilon must be a scalar, got an array of shape (2,)",
+            id="level5-epsilon",
+        ),
+        pytest.param(
+            PerturbedLevel(0.5, np.array([0.3])),
+            "level.epsilon must be a scalar, got an array of shape (1,)",
+            id="level6-epsilon",
+        ),
+        pytest.param(PerturbedLevel(0.5, math.nan), "level.epsilon must be finite, got nan", id="level7-epsilon"),
+    ],
 )
-def test_level_of_another_well_or_without_shift_rejected(level, field):
-    # a level is read whole: hbar w / 2 of this well (0.5 in natural units) and a given epsilon
+def test_level_of_another_well_or_without_shift_rejected(level, message):
+    # a level is read whole: hbar w / 2 of this well (0.5 in natural units) and a finite real epsilon
     p = from_eta(0.1)
     for entry_point in (turning_points, ln_splitting_wkb_exact):
-        with pytest.raises(ValueError, match=rf"^level\.{field}="):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             entry_point(p, level)
     # perturbed_level's levels of a physical well pass
     q = WellParameters(mass=2.0, angular_frequency=0.5, half_separation=10.0, hbar=3.0)

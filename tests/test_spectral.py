@@ -95,12 +95,24 @@ def test_port_is_bit_identical_to_lapack_on_oracle_potentials(params, half_width
         (np.zeros(5), 1e-160),
         # products of neighbouring diagonal entries overflow
         (np.full(5, 1e160), 1.0),
+        # a NaN or an infinity makes a neighbouring product or the square non-finite
+        (np.array([1.0, 2.0, math.nan, 4.0, 5.0]), 1.0),
+        (np.array([math.inf, 0.0, 3.0, 4.0, 5.0]), 1.0),
+        (np.array([1.0, 2.0, 3.0, 4.0, -math.inf]), 1.0),
+        (np.zeros(5), math.nan),
+        (np.zeros(5), math.inf),
     ],
 )
 def test_port_refuses_matrices_outside_the_float64_range(diag, off):
     # no double well reaches this guard: the solver's matrices are in natural units
     with pytest.raises(ValueError, match=r"^matrix outside the float64 range"):
         eigh_tridiagonal(diag, off, 2)
+
+
+def test_port_refuses_an_off_diagonal_lost_against_the_diagonal():
+    # 1e8 * 1e8 * ULP^2 is about 5e-16, far above off^2 = 1e-18: the matrix splits into blocks
+    with pytest.raises(ValueError, match=r"^off-diagonal negligible against the diagonal"):
+        eigh_tridiagonal(np.full(5, 1e8), 1e-9, 2)
 
 
 def test_port_is_bit_identical_to_lapack_on_random_matrices():
@@ -127,6 +139,23 @@ def test_port_is_bit_identical_to_lapack_on_random_matrices():
         ][case % 5]
         off = scale * rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 1.0)
         k = int(rng.integers(1, n if case % 5 == 4 else min(9, n - 1) + 1))
+        assert np.array_equal(eigh_tridiagonal(diag, off, k), _lapack(diag, off, k)), (case, n, k)
+
+
+def test_port_drops_the_surplus_of_a_split_cluster_as_lapack_does():
+    # plateaus between walls 1e3-1e8 high, jittered by 1e-13 or 1e-10 so a
+    # cluster's eigenvalues differ by a few ulps; when k splits a cluster,
+    # dstebz drops the surplus from the first values at or above wul, not
+    # from the top.  Seed 13's draws 14 and 70 are two such matrices: dropping
+    # from the top gives other values there.
+    rng = np.random.default_rng(13)
+    for case in range(200):
+        n = int(rng.integers(3, 60))
+        period = int(rng.integers(2, 12))
+        walls = np.arange(n) % period < rng.integers(1, period)
+        diag = np.where(walls, 10.0 ** rng.uniform(3.0, 8.0), 0.0) + rng.choice([1e-13, 1e-10]) * rng.standard_normal(n)
+        off = rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 1.0)
+        k = int(rng.integers(1, n))
         assert np.array_equal(eigh_tridiagonal(diag, off, k), _lapack(diag, off, k)), (case, n, k)
 
 
