@@ -69,8 +69,8 @@ class AnharmonicExpansion:
 
 @dataclass(frozen=True)
 class PerturbedLevel:
-    """Ground level of one well through second order in the anharmonicity:
-    the unperturbed level hbar*w/2 and its fractional shift epsilon."""
+    """Ground level of one well to second order in the anharmonicity: hbar*w/2
+    and its fractional shift epsilon (turning_points reads one made by hand)."""
 
     unperturbed: float
     epsilon: float

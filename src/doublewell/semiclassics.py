@@ -8,9 +8,9 @@ asymptotic formula carrying the anharmonicity correction factor delta(eta)
 small magnitudes are handled in log space throughout: every splitting has
 an ln(dE / hbar w) form, and ratios are differences of logs.
 
-Every per-point answer is a row of the one kernel, _wkb_route, at the level
-shift it is given (the paper's, unless turning_points is given a level), and
-the validity boundary is guarded once, in delta, the factor that needs 1 + eps > 0.
+Every per-point answer is a row of the one kernel, _wkb_route, at the paper's
+shift (turning_points alone reads a hand-made level), and the validity boundary
+is guarded once, first, in delta, the factor that needs 1 + eps > 0.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import WellParameters, eta as eta_of, finite_scalar, positive_real
-from .perturbation import PerturbedLevel, epsilon_closed_form, perturbed_level, validity_boundary
+from .perturbation import PerturbedLevel, epsilon_closed_form, validity_boundary
 
 __all__ = [
     "SQRT_E_OVER_PI",
@@ -96,10 +96,10 @@ def turning_points(p: WellParameters, level: PerturbedLevel) -> SplittingReport:
     These solve V(x) = E exactly: with E = (hbar w / 2)(1 + eps),
     V - E factors as (m w^2 / (8 a^2)) (x^2 - alpha^2)(x^2 - gamma^2).
     Both are real exactly when the level is below the barrier.  `level` must
-    sit at hbar w / 2 of p, as perturbed_level's does, with a finite real epsilon.
+    hold finite real scalars: hbar w / 2 of p, as perturbed_level's does, and epsilon.
     """
     half_hw = 0.5 * p.hbar * p.angular_frequency
-    if level.unperturbed != half_hw:
+    if finite_scalar(level.unperturbed, "level.unperturbed") != half_hw:
         raise ValueError(f"level.unperturbed={level.unperturbed!r} is not hbar*w/2 = {half_hw!r} of the well")
     row = _wkb_route(eta_of(p), p.half_separation, finite_scalar(level.epsilon, "level.epsilon"))
     return SplittingReport(*row[0].tolist())
@@ -260,14 +260,11 @@ def ln_splitting_asymptotic(eta_value):
     return ln_splitting_instanton(eta_value) + math.log(SQRT_E_OVER_PI) + ln_delta_factor(eta_value)
 
 
-def ln_splitting_wkb_exact(p: WellParameters, level: PerturbedLevel | None = None) -> tuple[float, float]:
-    """ln(dE / hbar w) from the WKB route dE = (2 hbar / T) e^{-S}, taken at
-    `level`, perturbed_level(p) if None.
-
-    Returns (log value, relative error estimate of dE); the estimate is
-    _wkb_estimate, since dE depends on S through e^{-S}.
-    """
-    report = turning_points(p, perturbed_level(p) if level is None else level)
+def ln_splitting_wkb_exact(p: WellParameters) -> tuple[float, float]:
+    """ln(dE / hbar w) from the WKB route dE = (2 hbar / T) e^{-S} at the paper's
+    level, and the relative error estimate of dE, _wkb_estimate, since dE depends
+    on S through e^{-S}.  turning_points(p, level).ln_de_wkb takes another level."""
+    report = splitting_report(p)
     return report.ln_de_wkb, _wkb_estimate(report.action)
 
 
@@ -302,6 +299,8 @@ def splitting_table(eta_value) -> np.ndarray:
 
 
 def splitting_report(p: WellParameters) -> SplittingReport:
-    """All three routes at the eta of p, as one row of scaled, log-domain
-    numbers (see SplittingReport)."""
-    return turning_points(p, perturbed_level(p))
+    """All three routes at the eta of p and the paper's shift there: the row
+    splitting_table makes, with alpha and gamma in p's units (see SplittingReport)."""
+    eta_value = eta_of(p)
+    row = _wkb_route(eta_value, p.half_separation, epsilon_closed_form(eta_value))
+    return SplittingReport(*row[0].tolist())

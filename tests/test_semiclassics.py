@@ -166,8 +166,6 @@ def test_above_barrier_level_rejected():
     high = PerturbedLevel(unperturbed=0.5, epsilon=30.0)
     with pytest.raises(ValueError, match="barrier"):
         turning_points(p, high)
-    with pytest.raises(ValueError, match="barrier"):
-        ln_splitting_wkb_exact(p, high)
 
 
 @pytest.mark.parametrize("epsilon", [-2.0, -1.0])
@@ -177,8 +175,6 @@ def test_level_at_or_below_well_bottom_rejected(epsilon):
     low = PerturbedLevel(unperturbed=0.5, epsilon=epsilon)
     with pytest.raises(ValueError, match="well bottom"):
         turning_points(p, low)
-    with pytest.raises(ValueError, match="well bottom"):
-        ln_splitting_wkb_exact(p, low)
 
 
 @pytest.mark.parametrize(
@@ -207,17 +203,46 @@ def test_level_at_or_below_well_bottom_rejected(epsilon):
             id="level6-epsilon",
         ),
         pytest.param(PerturbedLevel(0.5, math.nan), "level.epsilon must be finite, got nan", id="level7-epsilon"),
+        # unperturbed is read as epsilon is, before it is compared with hbar w / 2
+        pytest.param(
+            PerturbedLevel(np.array([0.5]), 0.01),
+            "level.unperturbed must be a scalar, got an array of shape (1,)",
+            id="level8-unperturbed",
+        ),
+        pytest.param(
+            PerturbedLevel(True, 0.01), "level.unperturbed must be a real number, got True", id="level9-unperturbed"
+        ),
+        pytest.param(
+            PerturbedLevel(np.array([0.5, 0.5]), 0.01),
+            "level.unperturbed must be a scalar, got an array of shape (2,)",
+            id="level10-unperturbed",
+        ),
+        pytest.param(
+            PerturbedLevel(None, 0.01), "level.unperturbed must be a real number, got None", id="level11-unperturbed"
+        ),
     ],
 )
 def test_level_of_another_well_or_without_shift_rejected(level, message):
-    # a level is read whole: hbar w / 2 of this well (0.5 in natural units) and a finite real epsilon
+    # a level is read whole: finite real scalars, hbar w / 2 of this well (0.5 in
+    # natural units) and epsilon
     p = from_eta(0.1)
-    for entry_point in (turning_points, ln_splitting_wkb_exact):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            entry_point(p, level)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        turning_points(p, level)
+    # True is refused also where it equals hbar w / 2 = 1.0; a numpy float is read as a float
+    unit_half_hw = WellParameters(angular_frequency=2.0, half_separation=10.0)
+    with pytest.raises(ValueError, match=r"^level\.unperturbed must be a real number, got True$"):
+        turning_points(unit_half_hw, PerturbedLevel(True, 0.01))
+    assert turning_points(p, PerturbedLevel(np.float64(0.5), 0.01)) == turning_points(p, PerturbedLevel(0.5, 0.01))
     # perturbed_level's levels of a physical well pass
     q = WellParameters(mass=2.0, angular_frequency=0.5, half_separation=10.0, hbar=3.0)
     assert turning_points(q, perturbed_level(q)) == splitting_report(q)
+
+
+def test_level_option_is_gone():
+    # a hand-made level has one reader, turning_points
+    p = from_eta(0.1)
+    with pytest.raises(TypeError):
+        ln_splitting_wkb_exact(p, perturbed_level(p))
 
 
 @pytest.mark.parametrize(
@@ -350,6 +375,11 @@ def test_correction_dependent_routes_guard_their_domain():
         splitting_report(from_eta(0.61))
     with pytest.raises(ValueError, match="validity boundary"):
         turning_points(from_eta(0.61), perturbed_level(from_eta(0.61)))
+    # the paper's eps overflows to -inf from eta ~ 6.25e76; the boundary is still named first
+    for bad_eta in (6.26e76, 1e100):
+        for route in (splitting_report, ln_splitting_wkb_exact):
+            with pytest.raises(ValueError, match="validity boundary"):
+                route(from_eta(bad_eta))
 
 
 def test_instanton_exponent_log_slope():

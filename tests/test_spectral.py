@@ -28,6 +28,7 @@ from doublewell import (
     perturbed_level,
     potential,
     splitting_report,
+    turning_points,
     validity_boundary,
 )
 from doublewell import solve_spectrum
@@ -303,7 +304,7 @@ def test_wkb_route_at_the_exact_shift_has_the_naive_prefactor_defect(eta):
     p = from_eta(eta)
     result = solve_spectrum(p, k=2)
     level = PerturbedLevel(0.5, result.eigenvalues[0] + result.eigenvalues[1] - 1.0)
-    ratio = math.exp(ln_splitting_wkb_exact(p, level)[0]) / result.splitting
+    ratio = math.exp(turning_points(p, level).ln_de_wkb) / result.splitting
     bound = 0.01 + result.splitting_estimate / result.splitting
     assert abs(ratio - SQRT_E_OVER_PI) <= bound * SQRT_E_OVER_PI
 
@@ -319,7 +320,7 @@ def test_wkb_route_with_furry_factor_at_the_series_shift_tracks_exact(eta):
     # paper's three routes read 1.04-1.28 here, so it is also the closest
     p = from_eta(eta)
     exact, estimate = exact_splitting(p)
-    ln_furry = ln_splitting_wkb_exact(p, PerturbedLevel(0.5, _series_shift(eta)))[0] - math.log(SQRT_E_OVER_PI)
+    ln_furry = turning_points(p, PerturbedLevel(0.5, _series_shift(eta))).ln_de_wkb - math.log(SQRT_E_OVER_PI)
     miss = abs(math.exp(ln_furry) / exact - 1.0)
     assert miss <= 0.01 + estimate / exact
     report = splitting_report(p)
