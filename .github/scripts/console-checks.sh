@@ -44,9 +44,10 @@ doublewell splitting --eta 0.2 --method spectral
 doublewell splitting --eta 0.65 --method spectral
 expect_exit 3 doublewell splitting --eta 0.14 --method spectral
 expect_exit 2 doublewell splitting --eta 1e-6 --method spectral
-# the eigensolver solves in natural units: a well at hbar = 1e152 (eta = 0.2)
-# prints the ln(dE / hbar w) and estimate of --eta 0.2
-physical="$(doublewell splitting --hbar 1e152 --a 5e76 --method spectral)"
+# the eigensolver solves in natural units: a well at hbar = 2**200 and
+# a = 5 * 2**100 (eta = 0.2), whose hbar w scales dE and its estimate exactly,
+# prints the ln(dE / hbar w) and rel_estimate of --eta 0.2
+physical="$(doublewell splitting --hbar 1.6069380442589903e+60 --a 6.338253001141147e+30 --method spectral)"
 natural="$(doublewell splitting --eta 0.2 --method spectral)"
 test "${physical#*ln_dE_over_hbar_omega=}" = "${natural#*ln_dE_over_hbar_omega=}"
 # a well whose hbar w (eta = 0.2) or oscillator length (eta ~ 1e-65) leaves

@@ -84,12 +84,14 @@ class PerturbedLevel:
 def epsilon_closed_form(eta_value):
     """Fractional second-order shift of the well ground level,
     (eta^2/16)(25 - 189 eta^2), for the standard coefficient set;
-    elementwise for an eta array."""
+    elementwise for an eta array.  -inf, without a warning, from
+    eta ~ 6.25e76, where the routes' validity guard refuses."""
     # squared by multiplication, as numpy squares an array: float ** 2 goes
     # through libm pow, which can differ in the last bit
     et = positive_real(eta_value, "eta")
-    e2 = et * et
-    return (e2 / 16.0) * (25.0 - 189.0 * e2)
+    with np.errstate(over="ignore"):
+        e2 = et * et
+        return (e2 / 16.0) * (25.0 - 189.0 * e2)
 
 
 def rs_engine(expansion: AnharmonicExpansion, order: int = 2) -> float:
@@ -129,7 +131,7 @@ def perturbed_level(p: WellParameters) -> PerturbedLevel:
 
     Its eps is positive below eta ~ 0.364; the physical shift is negative.
     Below validity_boundary() the level lies under the barrier; routes that
-    need that guard it.
+    need that guard it.  From eta ~ 6.25e76 its eps is -inf.
     """
     eps = epsilon_closed_form(eta_of(p))
     return PerturbedLevel(unperturbed=0.5 * p.hbar * p.angular_frequency, epsilon=eps)

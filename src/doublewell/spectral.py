@@ -30,10 +30,9 @@ __all__ = [
 
 # Fraction of the matrix-scale rounding bound _ULP * ||H|| taken as the noise
 # on E1 - E0, calibrated against grid-to-grid scatter of degenerate doublets.
-# It is not a bound: against the exact eigenvalues of the same float64 matrix
-# (40-digit Sturm bisection), E1 - E0 at eta = 0.2 is off by 2.2 floors on the
-# default coarse grid and 1.14 on the fine one.  ROADMAP.md item 2 plans to
-# derive the floor from dstebz's stopping rule instead.
+# Against the exact eigenvalues of the same float64 matrix (40-digit Sturm
+# bisection), eigh_tridiagonal's E1 - E0 at eta = 0.2 is off by 0.21 floors on
+# the default coarse grid and 0.68 on the fine one.
 _NOISE_FRACTION = 0.25
 # Most points default_grid may ask for on its coarse grid (the fine one has
 # twice as many).  A solve costs about 15 us per coarse point: 0.49 s and a
@@ -89,12 +88,8 @@ class SpectrumResult:
             raise ValueError("eigenvalues out of order beyond their error estimates")
 
 
-# dstebz's constants: the unit in the last place (LAPACK's DLAMCH('P')), its
-# relative stopping tolerance RELFAC * ULP, the Gershgorin widening factor,
-# and the smallest normal float (DLAMCH('S')) that scales the pivot floor
+# the unit in the last place, and the smallest normal float (it scales pivmin)
 _ULP = 2.0**-52
-_RTOLI = 2.0 * _ULP
-_FUDGE = 2.1
 _TINY = 2.0**-1022
 
 
@@ -103,29 +98,12 @@ def eigh_tridiagonal(diag: np.ndarray, off: float, k: int) -> np.ndarray:
     with diagonal `diag` and every off-diagonal entry equal to `off`; k must be
     below the matrix size.
 
-    A port of LAPACK dstebz (RANGE='I', IL=1, IU=k, ABSTOL=0), the routine
-    behind scipy.linalg.eigh_tridiagonal(select="i", eigvals_only=True):
     Sturm-count bisection (Barth, Martin & Wilkinson, Numer. Math. 9, 386,
-    1967) with dstebz's constants and order of operations, so the values are
-    bit-identical to scipy's.  Each is within about ULP * ||T|| of an
-    eigenvalue of the matrix as stored.  dstebz's first count at each end of
-    the refinement interval replaces pivots with |t| < pivmin where its loop
-    tests t <= pivmin; the rules differ only at t == pivmin exactly, and the
-    port uses the loop's rule throughout.
-
-    dstebz steps that cannot change a value are skipped.  No eigenvalue lies
-    below the widened Gershgorin end gl, so N(gl) = 0 ends dstebz's search for
-    eigenvalue 1's lower end where it starts and zeroes its count at gl.  With
-    off^2 normal (checked below), sqrt(off^2) == |off|, so dstebz's second
-    Gershgorin pass only raises gl by FUDGE * pivmin, and its clamps to the
-    searched interval keep that gl and the search's upper end.
-
-    Job 2 follows each eigenvalue along its own halves of [gl, wu] instead of
-    dlaebz's interval list.  After j steps it holds the list's interval that
-    holds that eigenvalue after j sweeps, and a count depends only on its
-    shift, so the values are the same floats.  Counts are cached for the call:
-    a half shared by several eigenvalues is counted once, as the list counts
-    each of its intervals, all of which hold an eigenvalue, once per sweep.
+    1967) of each eigenvalue on its own, from the padded Gershgorin interval
+    until its bracket is narrower than ULP * ||T|| / 16 or 2 ulps of its ends.
+    LAPACK's dstebz stops at ULP * ||T||, which left E1 - E0 of a doublet up
+    to 2.2 noise floors off.  Counts are cached for the call, as eigenvalues
+    share their first halves.
     """
     d = np.asarray(diag, dtype=float).tolist()
     n = len(d)
@@ -133,15 +111,22 @@ def eigh_tridiagonal(diag: np.ndarray, off: float, k: int) -> np.ndarray:
         raise ValueError(f"k must be at least 1 and below the matrix size {n}, got {k}")
     e = abs(float(off))
     e2 = e * e
-    if not (_TINY <= e2 < math.inf and all(math.isfinite(a * b) for a, b in zip(d, d[1:]))):
-        raise ValueError(
-            f"matrix outside the float64 range: the off-diagonal {float(off)!r} must square to a normal "
-            f"float (>= {_TINY!r}, finite) and neighbouring diagonal products must be finite"
-        )
-    if any(abs(a * b) * _ULP**2 + _TINY > e2 for a, b in zip(d, d[1:])):
-        raise ValueError("off-diagonal negligible against the diagonal: the matrix splits into blocks")
     pivmin = max(1.0, e2) * _TINY
+    gl, gu = min(d) - 2.0 * e, max(d) + 2.0 * e
+    tnorm = max(abs(gl), abs(gu))
+    pad = 2.0 * n * _ULP * tnorm + pivmin
+    bracket = (gl - pad, gu + pad)
+    products = [a * b for a, b in zip(d, d[1:])]
+    if not (_TINY <= e2 < math.inf and all(map(math.isfinite, (*bracket, *products)))):
+        raise ValueError(
+            f"matrix outside the float64 range: the off-diagonal {float(off)!r} must square to a normal float "
+            f"(>= {_TINY!r}, finite); neighbouring diagonal products and the Gershgorin ends must be finite"
+        )
+    if any(abs(ab) * _ULP**2 + _TINY > e2 for ab in products):
+        raise ValueError("off-diagonal negligible against the diagonal: the matrix splits into blocks")
+    atol = max(_ULP * tnorm / 16.0, pivmin)
 
+    @functools.cache
     def count(c: float) -> int:
         """Eigenvalues below c: the negative pivots of LDL^T of T - c."""
         # e2 / inf = 0, so the first pivot is d_0 - c
@@ -153,57 +138,17 @@ def eigh_tridiagonal(diag: np.ndarray, off: float, k: int) -> np.ndarray:
                 t = min(t, -pivmin)
         return m
 
-    def converged(lo: float, hi: float, below: int, above: int, atol: float) -> bool:
-        return below >= above or abs(hi - lo) < max(atol, pivmin, _RTOLI * max(abs(hi), abs(lo)))
-
-    def iterations(width: float) -> int:
-        return int((math.log(width + pivmin) - math.log(pivmin)) / math.log(2.0)) + 2
-
-    # the Gershgorin interval, widened as dstebz widens it: dstebz takes
-    # (d_j + e) + e on inner rows and d_j + e on the two end rows; rounding is
-    # monotone, so the extremes of d give the same floats as its loop
-    inner = d[1:-1]
-    gu = max(max(d[0], d[-1]) + e, max(inner, default=-math.inf) + e + e)
-    gl = min(min(d[0], d[-1]) - e, min(inner, default=math.inf) - e - e)
-    tnorm = max(abs(gl), abs(gu))
-    pad = _FUDGE * tnorm * _ULP * n
-    gu = gu + pad + _FUDGE * pivmin
-    # dlaebz job 3: from gu, shrink [wul, wu] about a point with N = k
-    wul, wu, c = gl - pad - 2.0 * _FUDGE * pivmin, gu, gu
-    below, above = -1, n + 1
-    for _ in range(iterations(tnorm)):
-        m = count(c)
-        if m <= k:
-            wul, below = c, m
-        if m >= k:
-            wu, above = c, m
-        if converged(wul, wu, below, above, _ULP * tnorm):
-            break
-        c = 0.5 * (wul + wu)
-    gl = gl - pad - _FUDGE * pivmin
-    atol = _ULP * max(abs(gl), abs(gu))
-    # dlaebz job 1 counts the ends: N(gl) = 0, and N(wu) is job 3's last count
-    # at wu; job 2 bisects [gl, wu] once per eigenvalue
-    top = above
-    shared = functools.cache(count)
-
     def value(i: int) -> float:
-        lo, hi, below, above = gl, wu, 0, top
-        for _ in range(iterations(wu - gl)):
-            c = 0.5 * (lo + hi)
-            m = min(above, max(below, shared(c)))
-            lo, hi, below, above = (lo, c, below, m) if i < m else (c, hi, m, above)
-            if converged(lo, hi, below, above, atol):
-                return 0.5 * (lo + hi)
-        raise np.linalg.LinAlgError("eigh_tridiagonal: bisection did not converge")
+        lo, hi = bracket
+        # each end is halved first, so the midpoint stays finite; once lo and hi
+        # are adjacent floats the width, one ulp, is below 2 ulps of the larger
+        # end (normal values) or pivmin >= 2**-1022 (subnormal ones): the loop ends
+        while hi - lo >= max(atol, 2.0 * _ULP * max(abs(lo), abs(hi))):
+            c = 0.5 * lo + 0.5 * hi
+            lo, hi = (lo, c) if count(c) > i else (c, hi)
+        return 0.5 * lo + 0.5 * hi
 
-    w = [value(i) for i in range(top)]
-    if top > k:
-        # [wul, wu] held eigenvalues beyond the k-th; dstebz drops the surplus
-        # from the first values at or above wul, and what is left of it from the top
-        start = next((i for i, x in enumerate(w) if x >= wul), len(w))
-        w = (w[:start] + w[start + top - k:])[:k]
-    return np.array(w)
+    return np.array([value(i) for i in range(k)])
 
 
 def _matrix(p: WellParameters, half_width: float, n: int) -> tuple[np.ndarray, float, float]:

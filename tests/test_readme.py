@@ -119,7 +119,7 @@ def test_readme_command_examples_print_what_it_records(capsys):
     spectral, wkb = "splitting --eta 0.2 --method spectral", "splitting --a 10 --method wkb-exact"
     assert sorted(recorded) == sorted([spectral, wkb])
     # the eigensolver's line calls no numpy log or exp (its eigenvalues come from
-    # the pure-Python dstebz port), so its bytes are pinned
+    # a pure-Python bisection), so its bytes are pinned
     assert main(spectral.split()) == 0
     assert capsys.readouterr().out == recorded[spectral] + "\n"
     # the formula routes go through numpy's log and exp, whose last bit is not

@@ -380,6 +380,12 @@ def test_correction_dependent_routes_guard_their_domain():
         for route in (splitting_report, ln_splitting_wkb_exact):
             with pytest.raises(ValueError, match="validity boundary"):
                 route(from_eta(bad_eta))
+    # on an array too: eps overflows without a numpy warning, and the kernel names the boundary
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="validity boundary"):
+            splitting_table(np.array([0.1, 1e100]))
+    assert perturbed_level(from_eta(1e100)).epsilon == -math.inf
 
 
 def test_instanton_exponent_log_slope():
