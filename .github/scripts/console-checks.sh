@@ -3,7 +3,7 @@
 # `doublewell` entry point, and two of them through `python -m doublewell`, so
 # a stale import or a RuntimeWarning (run under
 # PYTHONWARNINGS=error::RuntimeWarning) fails here.
-# Usage: console-checks.sh OUTDIR   (writes sweep.csv, default.csv, never.err and units.err there)
+# Usage: console-checks.sh OUTDIR   (writes sweep.csv, default.csv, never.err, refused.err and units.err there)
 set -euo pipefail
 out="$1"
 
@@ -38,11 +38,14 @@ for method in wkb-exact asymptotic instanton; do
   doublewell splitting --eta 0.122513 --method "$method" | grep -F " eta=0.122513 "
 done
 # the eigensolver answers beyond the validity boundary, refuses a doublet
-# below resolution, and refuses a well whose default grid would exceed its
-# point budget
+# below resolution with one line, and refuses a well whose default grid would
+# exceed its point budget
 doublewell splitting --eta 0.2 --method spectral
 doublewell splitting --eta 0.65 --method spectral
-expect_exit 3 doublewell splitting --eta 0.14 --method spectral
+expect_exit 3 doublewell splitting --eta 0.14 --method spectral 2> "$out/refused.err"
+test "$(head -c 19 "$out/refused.err")" = "numerical failure: "
+grep -qF "below numerical resolution" "$out/refused.err"
+test "$(wc -l < "$out/refused.err")" -eq 1
 expect_exit 2 doublewell splitting --eta 1e-6 --method spectral
 # the eigensolver solves in natural units: a well at hbar = 2**200 and
 # a = 5 * 2**100 (eta = 0.2), whose hbar w scales dE and its estimate exactly,

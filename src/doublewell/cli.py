@@ -315,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
         # a bare MemoryError, as Python raises it, has no message of its own
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
-    except (ResolutionError, np.linalg.LinAlgError) as exc:
+    except ResolutionError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

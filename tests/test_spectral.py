@@ -101,15 +101,16 @@ def test_port_is_bit_identical_to_lapack_on_oracle_potentials(params, half_width
         (np.zeros(5), 1e155),
         # the off-diagonal's square is subnormal
         (np.zeros(5), 1e-160),
-        # products of neighbouring diagonal entries overflow
-        (np.full(5, 1e160), 1.0),
-        # a NaN or an infinity makes a neighbouring product or the square non-finite
+        # the padded Gershgorin interval overflows at its top
+        (np.array([0.0, 1.0, 1.7976931348623157e308]), 1.0),
+        # a NaN or an infinity on the diagonal or off it; np.min and np.max
+        # return the NaN in the middle, which min and max would skip
         (np.array([1.0, 2.0, math.nan, 4.0, 5.0]), 1.0),
         (np.array([math.inf, 0.0, 3.0, 4.0, 5.0]), 1.0),
         (np.array([1.0, 2.0, 3.0, 4.0, -math.inf]), 1.0),
         (np.zeros(5), math.nan),
         (np.zeros(5), math.inf),
-        # the padded Gershgorin interval overflows
+        # the padded Gershgorin interval overflows at its bottom
         (np.array([-1.7976931348623157e308, 0.0, 1.0]), 1.0),
     ],
 )
@@ -125,10 +126,21 @@ def test_port_bisects_near_the_top_of_the_float64_range():
     assert values[1] == pytest.approx(1e308, rel=1e-15) and abs(values[0]) < 1e-15 * 1.5e308
 
 
-def test_port_refuses_an_off_diagonal_lost_against_the_diagonal():
-    # 1e8 * 1e8 * ULP^2 is about 5e-16, far above off^2 = 1e-18: the matrix splits into blocks
-    with pytest.raises(ValueError, match=r"^off-diagonal negligible against the diagonal"):
-        eigh_tridiagonal(np.full(5, 1e8), 1e-9, 2)
+@pytest.mark.parametrize(
+    "diag, off",
+    [
+        # neighbouring diagonal products overflow
+        (np.full(5, 1e160), 1.0),
+        # 1e8 * 1e8 * ULP^2 is about 5e-16, far above off^2 = 1e-18
+        (np.full(5, 1e8), 1e-9),
+        # both, beside a small entry
+        (np.array([1e200, -1e200, 3.0, 1e200]), 1e-3),
+    ],
+)
+def test_eigensolver_answers_matrices_dstebz_would_split(diag, off):
+    # dstebz splits these into blocks at a negligible off-diagonal; a Sturm
+    # count never splits the matrix, so bisection answers them whole
+    _assert_near_lapack(diag, off, 2)
 
 
 def test_port_is_bit_identical_to_lapack_on_random_matrices():
