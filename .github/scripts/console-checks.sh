@@ -2,7 +2,9 @@
 # Every subcommand and every splitting method through the installed
 # `doublewell` entry point, and two of them through `python -m doublewell`, so
 # a stale import or a RuntimeWarning (run under
-# PYTHONWARNINGS=error::RuntimeWarning) fails here.
+# PYTHONWARNINGS=error::RuntimeWarning) fails here.  Physical wells: one
+# wkb-exact line from all four flags (--a --m --omega --hbar), one spectral
+# line at an extreme hbar, and two refusals.
 # Usage: console-checks.sh OUTDIR   (writes sweep.csv, default.csv, never.err, refused.err and units.err there)
 set -euo pipefail
 out="$1"
@@ -53,6 +55,10 @@ expect_exit 2 doublewell splitting --eta 1e-6 --method spectral
 physical="$(doublewell splitting --hbar 1.6069380442589903e+60 --a 6.338253001141147e+30 --method spectral)"
 natural="$(doublewell splitting --eta 0.2 --method spectral)"
 test "${physical#*ln_dE_over_hbar_omega=}" = "${natural#*ln_dE_over_hbar_omega=}"
+# each physical flag fills its own WellParameters field: one wkb-exact line
+line="$(doublewell splitting --a 10 --m 2 --omega 0.5 --hbar 3 --method wkb-exact)"
+test "$(wc -l <<< "$line")" -eq 1
+test "${line#method=wkb-exact }" != "$line"
 # a well whose hbar w (eta = 0.2) or oscillator length (eta ~ 1e-65) leaves
 # float64 is refused with one error line
 expect_exit 2 doublewell splitting --hbar 1e-200 --omega 1e-200 --m 1e200 --a 5e-100 --method spectral 2> "$out/units.err"

@@ -107,10 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("wkb-exact", "asymptotic", "instanton", "spectral"),
     )
-    sp.add_argument("--m", type=float, default=None, help="mass")
-    sp.add_argument("--omega", type=float, default=None, help="angular frequency")
-    sp.add_argument("--a", type=float, default=None, help="half-separation of the minima")
-    sp.add_argument("--hbar", type=float, default=None)
+    # each physical flag's dest is its WellParameters field: an unset flag takes that field's default
+    sp.add_argument("--m", dest="mass", metavar="M", type=float, help="mass")
+    sp.add_argument("--omega", dest="angular_frequency", metavar="OMEGA", type=float, help="angular frequency")
+    sp.add_argument("--a", dest="half_separation", metavar="A", type=float, help="half-separation of the minima")
+    sp.add_argument("--hbar", type=float)
     sp.set_defaults(func=cmd_splitting)
 
     va = sub.add_parser("validate", help="run the cross-module invariant suite")
@@ -158,20 +159,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _well_from_args(args: argparse.Namespace) -> WellParameters:
-    physical = {k: getattr(args, k) for k in ("m", "omega", "a", "hbar")}
+    physical = {k: getattr(args, k) for k in ("mass", "angular_frequency", "half_separation", "hbar")}
     given = {k: v for k, v in physical.items() if v is not None}
     if args.eta is not None:
         if given:
             raise ValueError("give either --eta or physical parameters (--m/--omega/--a/--hbar), not both")
         return from_eta(args.eta)
-    if "a" not in given:
+    if "half_separation" not in given:
         raise ValueError("need --eta, or at least --a for physical parameters")
-    return WellParameters(
-        mass=given.get("m", 1.0),
-        angular_frequency=given.get("omega", 1.0),
-        half_separation=given["a"],
-        hbar=given.get("hbar", 1.0),
-    )
+    return WellParameters(**given)
 
 
 #: the SplittingReport field that holds each formula method's ln(dE / hbar w)

@@ -22,6 +22,12 @@ __all__ = [
 ]
 
 
+def plain(value):
+    """A 0-d result as a Python float (so its repr stays plain), an array as
+    is: the one rule for what a scalar input gives back."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
 def finite_real(value, name: str):
     """`value` as finite float64, else ValueError naming `name`: the one
     conversion every number check goes through.  A scalar (numpy scalars
@@ -37,7 +43,7 @@ def finite_real(value, name: str):
     finite = np.isfinite(array)
     if not finite.all():
         raise ValueError(f"{name} must be finite, got {float(array[~finite].flat[0])!r}")
-    return float(array) if array.ndim == 0 else array
+    return plain(array)
 
 
 def finite_scalar(value, name: str) -> float:
@@ -147,7 +153,4 @@ def potential(p: WellParameters, x):
     a = p.half_separation
     prefactor = p.mass * p.angular_frequency**2 / (8.0 * a * a)
     xx = np.asarray(x, dtype=float)
-    v = prefactor * (xx - a) ** 2 * (xx + a) ** 2
-    if v.ndim == 0:
-        return float(v)
-    return v
+    return plain(prefactor * (xx - a) ** 2 * (xx + a) ** 2)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import WellParameters, eta as eta_of, finite_scalar, positive_real
+from .model import WellParameters, eta as eta_of, finite_scalar, plain, positive_real
 from .perturbation import PerturbedLevel, epsilon_closed_form, validity_boundary
 
 __all__ = [
@@ -70,11 +70,6 @@ class SplittingReport:
     delta: float
     ratio_corrected: float
     ratio_uncorrected: float
-
-
-def _plain(value):
-    """A 0-d result as a Python float (so its repr stays plain), an array as is."""
-    return float(value) if np.ndim(value) == 0 else value
 
 
 def _turning_points(eta_value, epsilon):
@@ -231,12 +226,12 @@ def ln_delta_factor(eta_value):
         )
     eps = epsilon_closed_form(eta_value)
     half_ln1p = 0.5 * np.log1p(eps)
-    return _plain(-half_ln1p + 0.5 * eps - eps * (np.log(eta_value / 4.0) + half_ln1p))
+    return plain(-half_ln1p + 0.5 * eps - eps * (np.log(eta_value / 4.0) + half_ln1p))
 
 
 def delta_factor(eta_value):
     """Anharmonicity correction factor delta(eta); delta -> 1 as eta -> 0."""
-    return _plain(np.exp(ln_delta_factor(eta_value)))
+    return plain(np.exp(ln_delta_factor(eta_value)))
 
 
 def ln_splitting_instanton(eta_value):
@@ -251,7 +246,7 @@ def ln_splitting_instanton(eta_value):
             f"eta={float(np.min(eta_value))!r} is beyond the instanton formula's "
             f"float64 range: its exponent 2/(3 eta^2) overflows"
         )
-    return _plain(np.log(4.0 / (math.sqrt(math.pi) * eta_value)) - exponent)
+    return plain(np.log(4.0 / (math.sqrt(math.pi) * eta_value)) - exponent)
 
 
 def ln_splitting_asymptotic(eta_value):

@@ -51,8 +51,9 @@ class ResolutionError(RuntimeError):
 class GridSpec:
     """Uniform grid on [-half_width, +half_width] with `points` nodes.
 
-    An odd point count keeps a node at the origin so parity is exact on the
-    grid.  The solver additionally checks that the box encloses the outer
+    The grid is symmetric, so parity is exact on it at any count, even counts
+    included; default_grid makes the count odd, which puts a node at the
+    origin.  The solver additionally checks that the box encloses the outer
     turning point with room for the eigenfunctions to decay.
     """
 

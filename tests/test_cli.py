@@ -4,6 +4,7 @@ checks on each flag."""
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import math
 import re
@@ -17,7 +18,7 @@ import doublewell.cli as cli
 import doublewell.perturbation as perturbation
 import doublewell.semiclassics as semiclassics
 import doublewell.spectral as spectral
-from doublewell import SQRT_E_OVER_PI, epsilon_closed_form, eta, from_eta
+from doublewell import SQRT_E_OVER_PI, WellParameters, epsilon_closed_form, eta, from_eta
 from doublewell.cli import CSV_HEADER, REFERENCE_RATIOS, main
 
 
@@ -190,6 +191,30 @@ def test_splitting_physical_parameters(capsys):
     fields = _parse_splitting_line(capsys.readouterr().out)
     assert float(fields["eta"]) == pytest.approx(0.1, rel=1e-14)
     assert float(fields["dE"]) == pytest.approx(2.51489347893833e-28, rel=1e-12)
+
+
+#: each physical flag, its WellParameters field, and a value that no other
+#: field could take without moving eta or hbar w
+_PHYSICAL_FLAGS = (("--m", "mass", "2"), ("--omega", "angular_frequency", "0.5"), ("--hbar", "hbar", "3"))
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [subset for size in range(4) for subset in itertools.combinations(_PHYSICAL_FLAGS, size)],
+    ids=lambda flags: "+".join(flag for flag, _, _ in flags) or "a-only",
+)
+def test_physical_flags_fill_their_well_fields(flags, capsys):
+    # each flag sets its own WellParameters field, and every unset field keeps
+    # WellParameters' default: the line is the library's on that well
+    argv = [token for flag, _, value in flags for token in (flag, value)]
+    assert main(["splitting", "--a", "10", *argv, "--method", "instanton"]) == 0
+    fields = _parse_splitting_line(capsys.readouterr().out)
+    p = WellParameters(half_separation=10.0, **{field: float(value) for _, field, value in flags})
+    de = p.hbar * p.angular_frequency * math.exp(semiclassics.ln_splitting_instanton(eta(p)))
+    assert (fields["eta"], fields["dE"]) == (repr(eta(p)), repr(de))
+    # without --a there is no well to fill
+    assert main(["splitting", *argv, "--method", "instanton"]) == 2
+    assert capsys.readouterr().err == "error: need --eta, or at least --a for physical parameters\n"
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from doublewell import WellParameters, eta, from_eta, potential
+import doublewell
+from doublewell import WellParameters, eta, from_eta, model, potential
 
 
 def test_potential_vanishes_at_minima():
@@ -175,3 +176,29 @@ def test_potential_scalar_and_array_agree():
         scalar = potential(p, x)
         assert isinstance(scalar, float)
         assert scalar == pytest.approx(v, rel=1e-15, abs=1e-300)
+
+
+#: functions that map a number or an array elementwise (0.1-0.3 is a valid eta)
+_ELEMENTWISE = {
+    "potential": lambda x: potential(WellParameters(half_separation=3.0), x),
+    "finite_real": lambda x: model.finite_real(x, "x"),
+    "epsilon_closed_form": doublewell.epsilon_closed_form,
+    "ln_delta_factor": doublewell.ln_delta_factor,
+    "delta_factor": doublewell.delta_factor,
+    "ln_splitting_instanton": doublewell.ln_splitting_instanton,
+    "ln_splitting_asymptotic": doublewell.ln_splitting_asymptotic,
+    "ratio_wkb_instanton": doublewell.ratio_wkb_instanton,
+}
+
+
+@pytest.mark.parametrize("name", list(_ELEMENTWISE))
+def test_scalar_input_gives_a_float_and_array_input_an_array(name):
+    # model.plain's rule: a float, np.float64 or 0-d array gives a plain Python
+    # float (so its repr is a bare number); a 1-D array gives an array of its shape
+    f = _ELEMENTWISE[name]
+    results = [f(x) for x in (0.2, np.float64(0.2), np.array(0.2))]
+    assert all(type(r) is float for r in results), [type(r) for r in results]
+    assert results[1] == results[0] and results[2] == results[0]
+    values = f(np.array([0.1, 0.2, 0.3]))
+    assert type(values) is np.ndarray and values.shape == (3,)
+    assert values[1] == results[0]
