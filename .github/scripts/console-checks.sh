@@ -4,7 +4,9 @@
 # a stale import or a RuntimeWarning (run under
 # PYTHONWARNINGS=error::RuntimeWarning) fails here.  Physical wells: one
 # wkb-exact line from all four flags (--a --m --omega --hbar), one spectral
-# line at an extreme hbar, and two refusals.
+# line at an extreme hbar, and two refusals.  `validate --json` must print
+# strict JSON: ten passing records, each with exactly the keys name, status,
+# detail, value, bound and seconds, in that order.
 # Usage: console-checks.sh OUTDIR   (writes sweep.csv, default.csv, never.err, refused.err and units.err there)
 set -euo pipefail
 out="$1"
@@ -18,7 +20,18 @@ expect_exit() {
 }
 
 doublewell validate
-doublewell validate --json
+doublewell validate --json | python3 -c '
+import json, sys
+
+def refuse(constant):
+    raise ValueError(f"not strict JSON: {constant}")
+
+payload = json.load(sys.stdin, parse_constant=refuse)
+keys = ["name", "status", "detail", "value", "bound", "seconds"]
+records = payload["checks"]
+ok = len(records) == 10 and all(list(r) == keys and r["status"] == "pass" for r in records)
+sys.exit(0 if ok and payload["passed"] is True else f"unexpected validate --json records: {records}")
+'
 # `python -m doublewell` runs __main__.py, not the console script's cli:run;
 # both must print the same stdout
 for args in "table1" "splitting --eta 0.2 --method spectral"; do

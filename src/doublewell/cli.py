@@ -16,7 +16,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -195,30 +195,18 @@ def cmd_splitting(args: argparse.Namespace) -> int:
     return 0
 
 
-class _Check(NamedTuple):
-    """One `validate` verdict: a pass exactly when value <= bound, so a NaN fails."""
-
-    name: str
-    value: float
-    bound: float
-    detail: str
-
-    @property
-    def status(self) -> str:
-        return "pass" if self.value <= self.bound else "fail"
-
-
-def _validation_checks() -> Iterator[_Check]:
+def _validation_checks() -> Iterator[tuple[str, float, float, str]]:
+    """Each `validate` check as (name, value, bound, detail)."""
     # samples are folded with np.max, which keeps a NaN that max() would drop, and a NaN fails
     # perturbation engine against the closed form
     etas = np.linspace(0.01, 0.2, 50).tolist()
     engine = [rs_engine(AnharmonicExpansion.standard(from_eta(e))) for e in etas]
     worst = float(np.max([abs(x - epsilon_closed_form(e)) for x, e in zip(engine, etas)]))
-    yield _Check("engine-vs-closed-form", worst, 1e-12, f"max |engine - closed form| = {worst:.3e}")
+    yield "engine-vs-closed-form", worst, 1e-12, f"max |engine - closed form| = {worst:.3e}"
 
     a2, a4 = epsilon_series_coefficients("standard")
     err = float(np.max([abs(a2 - 25.0 / 16.0), abs(a4 + 189.0 / 16.0)]))
-    yield _Check("series-coefficients", err, 1e-12, f"(eta^2, eta^4) off by at most {err:.3e}")
+    yield "series-coefficients", err, 1e-12, f"(eta^2, eta^4) off by at most {err:.3e}"
 
     # turning points actually solve V(x) = E: alpha and gamma from one table,
     # V from the potential itself, at E = (1 + eps) / 2 in natural units
@@ -227,7 +215,7 @@ def _validation_checks() -> Iterator[_Check]:
         p, energy = from_eta(et), 0.5 * (1.0 + eps)
         residuals += [abs(potential(p, x) - energy) / energy for x in (alpha, gamma)]
     worst = float(np.max(residuals))
-    yield _Check("turning-point-residuals", worst, 1e-10, f"max relative residual = {worst:.3e}")
+    yield "turning-point-residuals", worst, 1e-10, f"max relative residual = {worst:.3e}"
 
     # the closed-form action and period integrals against their quadrature
     # reference, in units of the reference's estimate plus the rounding bound
@@ -244,10 +232,10 @@ def _validation_checks() -> Iterator[_Check]:
     change, limit = float(np.max([s_est, t_est])), 1e-10
     if change > limit:
         detail += f"; reference 16->32-node change {change:.3e} > {limit:.0e}"
-    yield _Check("quadrature-convergence", float(np.max([s_miss, t_miss, change / limit])), 1.0, detail)
+    yield "quadrature-convergence", float(np.max([s_miss, t_miss, change / limit])), 1.0, detail
 
     worst = float(np.max([abs(semiclassics.ratio_wkb_instanton(et) - ref) for et, ref in REFERENCE_RATIOS]))
-    yield _Check("reference-table", worst, 1e-5, f"max |ratio - reference| = {worst:.3e}")
+    yield "reference-table", worst, 1e-5, f"max |ratio - reference| = {worst:.3e}"
 
     # locate the ratio = 1 crossing by bisection, independent of the table; the
     # ratio rises through it, and a NaN sample moves the upper end
@@ -256,7 +244,7 @@ def _validation_checks() -> Iterator[_Check]:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if semiclassics.ratio_wkb_instanton(mid) < 1.0 else (lo, mid)
     crossing = 0.5 * (lo + hi)
-    yield _Check("crossing-location", abs(crossing - 0.122513), 5e-6, f"root at eta = {crossing:.7f}")
+    yield "crossing-location", abs(crossing - 0.122513), 5e-6, f"root at eta = {crossing:.7f}"
 
     # spectral oracle: 1/2 <= asymptotic/exact <= 2 at each eta; a doublet the
     # solver refuses fails, with the refusal's dE and estimate as its detail
@@ -266,39 +254,35 @@ def _validation_checks() -> Iterator[_Check]:
         try:
             de, _ = spectral.exact_splitting(p)
         except ResolutionError as exc:
-            yield _Check(f"spectral[eta={e:g}]", math.inf, 2.0, str(exc))
+            yield f"spectral[eta={e:g}]", math.inf, 2.0, str(exc)
             continue
         ratio = semiclassics.splitting_asymptotic(p) / de
         resolved.append((1.0 / (e * e), math.log(de)))
-        yield _Check(f"spectral[eta={e:g}]", max(ratio, 1.0 / ratio), 2.0, f"asymptotic/exact = {ratio:.4f}")
+        yield f"spectral[eta={e:g}]", max(ratio, 1.0 / ratio), 2.0, f"asymptotic/exact = {ratio:.4f}"
     # a NaN slope, from fewer than two resolved points, fails
     slope = float(np.polyfit(*np.array(resolved).T, 1)[0]) if len(resolved) > 1 else math.nan
-    yield _Check("spectral-log-slope", abs(slope + 2.0 / 3.0), 0.15 * (2.0 / 3.0), f"slope = {slope:.4f} (target -2/3)")
+    yield "spectral-log-slope", abs(slope + 2.0 / 3.0), 0.15 * (2.0 / 3.0), f"slope = {slope:.4f} (target -2/3)"
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    # each check with the wall time since the one before it, or since the start
-    checks, seconds = [], []
-    last = time.perf_counter()
-    for check in _validation_checks():
+    # one record per check, timed from the check before it, or from the start
+    records, last = [], time.perf_counter()
+    for name, value, bound, detail in _validation_checks():
         now = time.perf_counter()
-        checks.append(check)
-        seconds.append(now - last)
+        # a pass exactly when value <= bound, so a NaN fails; a non-finite
+        # value is written as null, so that the JSON output stays strict
+        status = "pass" if value <= bound else "fail"
+        finite = value if math.isfinite(value) else None
+        records.append(dict(name=name, status=status, detail=detail, value=finite, bound=bound, seconds=now - last))
         last = now
-    passed = all(c.status != "fail" for c in checks)
+    passed = all(r["status"] == "pass" for r in records)
     if args.as_json:
         import json
 
-        # a non-finite value is written as null, so that the output stays strict JSON
-        finite = [c.value if math.isfinite(c.value) else None for c in checks]
-        records = [
-            dict(name=c.name, status=c.status, detail=c.detail, value=value, bound=c.bound, seconds=span)
-            for c, value, span in zip(checks, finite, seconds)
-        ]
         print(json.dumps({"checks": records, "passed": passed}, indent=2, allow_nan=False))
     else:
-        for c in checks:
-            print(f"{c.status.upper():7s} {c.name}: {c.detail}")
+        for r in records:
+            print(f"{r['status'].upper():7s} {r['name']}: {r['detail']}")
         print(f"{'all checks passed' if passed else 'FAILURES present'}")
     return 0 if passed else 1
 

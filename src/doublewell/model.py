@@ -141,7 +141,7 @@ def from_eta(value: float) -> WellParameters:
             f"eta must be {sign} {bound!r} for its natural-units well (a = 1/eta) "
             f"to hold {held} in float64, got {value!r}"
         )
-    return WellParameters(mass=1.0, angular_frequency=1.0, half_separation=1.0 / value, hbar=1.0)
+    return WellParameters(half_separation=1.0 / value)
 
 
 def potential(p: WellParameters, x):

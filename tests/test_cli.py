@@ -704,3 +704,38 @@ def test_validate_status_follows_value_and_bound(capsys):
         assert record["status"] == ("pass" if value is not None and value <= bound else "fail")
     assert lines[:-1] == [f"{r['status'].upper():7s} {r['name']}: {r['detail']}" for r in records]
     assert lines[-1] == "all checks passed"
+
+
+def test_validate_pass_rule_at_its_edges(monkeypatch, capsys):
+    # a pass exactly when value <= bound: a value at its bound passes, and the
+    # next float up, NaN and +inf fail; a non-finite value is written as null
+    above = math.nextafter(1.0, math.inf)
+    checks = [
+        ("equal", 1.0, 1.0, "at the bound"),
+        ("above", above, 1.0, "one ulp above"),
+        ("nan", math.nan, 1.0, "not a number"),
+        ("inf", math.inf, 1.0, "infinite"),
+    ]
+    monkeypatch.setattr(cli, "_validation_checks", lambda: iter(checks))
+
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    assert main(["validate", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert payload["passed"] is False
+    assert [r["status"] for r in payload["checks"]] == ["pass", "fail", "fail", "fail"]
+    assert [r["value"] for r in payload["checks"]] == [1.0, above, None, None]
+
+    assert main(["validate"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS    equal: at the bound",
+        "FAIL    above: one ulp above",
+        "FAIL    nan: not a number",
+        "FAIL    inf: infinite",
+        "FAILURES present",
+    ]
+
+    monkeypatch.setattr(cli, "_validation_checks", lambda: iter(checks[:1]))
+    assert main(["validate"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["PASS    equal: at the bound", "all checks passed"]
